@@ -2,8 +2,9 @@
 //! corpus, or a seeded fuzz battery.
 //!
 //! ```sh
-//! # Run one plan file and print its artifact (CSV or Chrome-trace JSON).
-//! cargo run -p fh-bench --release --bin plan -- plans/storm.toml --threads 4
+//! # Run one plan file at its own seed and print its artifact (CSV or
+//! # Chrome-trace JSON); --seed rebases it and drops its artifact lock.
+//! cargo run -p fh-bench --release --bin plan -- crates/bench/plans/storm.toml --threads 4
 //!
 //! # Run the whole compiled-in corpus; one status line per plan.
 //! cargo run -p fh-bench --release --bin plan -- --corpus --threads 4
@@ -20,67 +21,14 @@
 //! does a malformed plan file.
 
 use std::env;
-use std::fs;
 use std::process::ExitCode;
 
-use fh_bench::planio;
-use fh_scenarios::sweep::resolve_threads;
-
-const USAGE: &str = "usage: plan <file.toml> | --corpus | --fuzz N  [--seed N] [--threads N]";
-
-enum Mode {
-    File(String),
-    Corpus,
-    Fuzz(u64),
-}
-
-fn parse(args: impl IntoIterator<Item = String>) -> Result<(Mode, u64, usize), String> {
-    let mut mode = None;
-    let mut seed = 2003u64;
-    let mut threads = 1usize;
-    let mut args = args.into_iter();
-    while let Some(arg) = args.next() {
-        let number = |a: Option<String>| a.and_then(|v| v.parse::<u64>().ok());
-        match arg.as_str() {
-            "--corpus" => mode = Some(Mode::Corpus),
-            "--fuzz" => match number(args.next()) {
-                Some(n) => mode = Some(Mode::Fuzz(n)),
-                None => return Err("--fuzz needs a plan count".to_owned()),
-            },
-            "--seed" => match number(args.next()) {
-                Some(v) => seed = v,
-                None => return Err("--seed needs a number".to_owned()),
-            },
-            "--threads" => match number(args.next()) {
-                Some(v) => threads = v as usize,
-                None => return Err("--threads needs a number (0 = one per core)".to_owned()),
-            },
-            other if !other.starts_with('-') && mode.is_none() => {
-                mode = Some(Mode::File(other.to_owned()));
-            }
-            other => return Err(format!("unknown argument: {other}\n{USAGE}")),
-        }
-    }
-    let mode = mode.ok_or_else(|| USAGE.to_owned())?;
-    Ok((mode, seed, resolve_threads(threads)))
-}
+use fh_bench::cli;
 
 fn main() -> ExitCode {
-    let (mode, seed, threads) = match parse(env::args().skip(1)) {
-        Ok(parsed) => parsed,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let result = match mode {
-        Mode::File(path) => match fs::read_to_string(&path) {
-            Ok(toml) => planio::run_corpus_plan(&toml, &path, seed, threads),
-            Err(e) => Err(format!("{path}: {e}\n")),
-        },
-        Mode::Corpus => planio::run_corpus(seed, threads),
-        Mode::Fuzz(count) => planio::run_fuzz(count, seed, threads),
-    };
+    let result = cli::parse_plan_args(env::args().skip(1))
+        .map_err(|msg| format!("{msg}\n"))
+        .and_then(|args| cli::run(&args));
     match result {
         Ok(output) => {
             print!("{output}");

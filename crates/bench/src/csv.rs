@@ -8,7 +8,6 @@
 
 use fh_core::Scheme;
 use fh_scenarios::experiments::{self, BufferUtilizationParams, FIG_4_6_RATES};
-use fh_scenarios::plan;
 use fh_sim::SimDuration;
 use fh_telemetry::{Cell, CsvTable};
 
@@ -123,49 +122,6 @@ pub fn fig4_14_csv() -> String {
     table.finish()
 }
 
-/// Chaos sweep as CSV: one row per injected loss probability.
-#[must_use]
-pub fn chaos_csv(threads: usize) -> String {
-    chaos_csv_with_seed(params::SEED, threads)
-}
-
-/// Chaos sweep as CSV for an explicit seed — the CI chaos-determinism
-/// job compares these bytes across thread counts, per seed. Rendering is
-/// the plan engine's: this *is* [`plan::reference_chaos`] run under
-/// `seed`.
-#[must_use]
-pub fn chaos_csv_with_seed(seed: u64, threads: usize) -> String {
-    plan::run_plan(&plan::reference_chaos().with_seed(seed), threads)
-        .expect_clean()
-        .artifact
-}
-
-/// Storm sweep as CSV: one row per storm size, both schemes side by side.
-#[must_use]
-pub fn storm_csv(threads: usize) -> String {
-    storm_csv_with_seed(params::SEED, threads)
-}
-
-/// Storm sweep as CSV for an explicit seed — the CI storm-leak-audit job
-/// compares these bytes across thread counts, per seed. Every row's run
-/// passed the packet-conservation and resource-leak audits (they panic
-/// otherwise), so these bytes double as the audit's green light.
-#[must_use]
-pub fn storm_csv_with_seed(seed: u64, threads: usize) -> String {
-    plan::run_plan(&plan::reference_storm().with_seed(seed), threads)
-        .expect_clean()
-        .artifact
-}
-
-/// The storm timeline as Chrome-trace JSON for an explicit seed — the CI
-/// trace-determinism job compares these bytes across thread counts.
-#[must_use]
-pub fn timeline_json_with_seed(seed: u64, threads: usize) -> String {
-    plan::run_plan(&plan::reference_timeline().with_seed(seed), threads)
-        .expect_clean()
-        .artifact
-}
-
 /// Resolves a CSV writer by figure id, fanning sweep points across
 /// `threads` workers (the CSV bytes are identical at any value).
 #[must_use]
@@ -199,8 +155,6 @@ pub fn csv_for(figure: &str, threads: usize) -> Option<String> {
             50,
         )),
         "fig4.14" => Some(fig4_14_csv()),
-        "chaos" => Some(chaos_csv(threads)),
-        "storm" => Some(storm_csv(threads)),
         _ => None,
     }
 }

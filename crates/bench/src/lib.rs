@@ -24,6 +24,7 @@ use std::fmt::Write as _;
 
 use fh_core::Scheme;
 use fh_scenarios::experiments::{self, BufferUtilizationParams, FIG_4_6_RATES};
+use fh_scenarios::plan::run_plan;
 use fh_scenarios::sweep::parallel_map;
 use fh_sim::SimDuration;
 
@@ -475,10 +476,11 @@ pub fn ablation_background(threads: usize) -> FigureRun {
     }
 }
 
-/// Chaos sweep — handover robustness under seeded control-plane loss.
+/// Chaos sweep — handover robustness under seeded control-plane loss,
+/// rendered from the points of the `plans/chaos.toml` corpus plan.
 #[must_use]
 pub fn chaos(threads: usize) -> FigureRun {
-    let r = experiments::chaos_sweep(&experiments::CHAOS_LOSS_PROBS, params::SEED, threads);
+    let r = run_plan(&planio::corpus_plan("plans/chaos.toml"), threads).expect_clean();
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -493,7 +495,7 @@ pub fn chaos(threads: usize) -> FigureRun {
         let _ = writeln!(
             out,
             "{:>7.1}{:>6}{:>6}{:>6}{:>10.1}{:>7}{:>7}{:>7}{:>8}{:>7}{:>7}",
-            p.loss * 100.0,
+            p.loss.unwrap_or(0.0) * 100.0,
             p.predictive,
             p.reactive,
             p.failed,
@@ -531,5 +533,19 @@ pub fn ablation_signaling(_threads: usize) -> FigureRun {
     FigureRun {
         text: out,
         events: r.events,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    /// The chaos table `repro` prints is the `Chaos —` section of the
+    /// committed `repro` stdout golden, byte for byte.
+    #[test]
+    fn chaos_table_matches_the_repro_golden() {
+        let golden = include_str!("../../../tests/golden/repro_stdout.txt");
+        let start = golden.find("Chaos —").expect("golden has the chaos table");
+        let section = &golden[start..];
+        let end = section.find("\n==== ").unwrap_or(section.len() - 1);
+        assert_eq!(super::chaos(2).text, section[..end]);
     }
 }

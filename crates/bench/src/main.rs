@@ -5,12 +5,7 @@
 //! cargo run -p fh-bench --bin repro --release -- --threads 4    # parallel
 //! cargo run -p fh-bench --bin repro --release -- fig4.2         # one figure
 //! cargo run -p fh-bench --bin repro --release -- --csv fig4.2   # CSV series
-//! cargo run -p fh-bench --bin repro --release -- --trace        # + timeline
 //! ```
-//!
-//! `--trace` additionally writes `TRACE_timeline.json`, the storm runs'
-//! Chrome-trace timeline (the same bytes the `timeline` bin prints) —
-//! byte-identical at any `--threads` value, like everything else here.
 //!
 //! `--threads N` sizes the deterministic sweep worker pool (0 = one per
 //! core, default 1). Figures fan out across the pool and each sweep
@@ -77,12 +72,6 @@ fn main() -> ExitCode {
         filters.remove(pos);
     }
     let threads = resolve_threads(threads);
-
-    let mut trace = false;
-    if let Some(pos) = filters.iter().position(|a| a == "--trace") {
-        filters.remove(pos);
-        trace = true;
-    }
 
     if filters.first().map(String::as_str) == Some("--csv") {
         filters.remove(0);
@@ -151,16 +140,5 @@ fn main() -> ExitCode {
         }
     }
 
-    // `--trace`: additionally export the storm runs as a Chrome-trace
-    // timeline (the `timeline` bin's bytes, written to a file). Stdout is
-    // untouched, so the figure tables stay byte-identical with and
-    // without the flag.
-    if trace {
-        let json = fh_bench::csv::timeline_json_with_seed(fh_bench::params::SEED, threads);
-        match std::fs::write("TRACE_timeline.json", &json) {
-            Ok(()) => eprintln!("wrote TRACE_timeline.json ({threads} threads)"),
-            Err(e) => eprintln!("could not write TRACE_timeline.json: {e}"),
-        }
-    }
     ExitCode::SUCCESS
 }

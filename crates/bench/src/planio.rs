@@ -1,12 +1,11 @@
-//! Plan-driver plumbing shared by the `plan` bin and the corpus bins.
+//! Plan-driver plumbing behind the `plan` bin and the `repro` chaos table.
 //!
 //! The scenario-plan corpus lives in `crates/bench/plans/` and is
 //! compiled into the binaries with `include_str!`, so the drivers need no
 //! filesystem access to run it and CI exercises exactly the bytes under
 //! version control. Three corpus plans (`chaos`, `storm`, `timeline`)
-//! *are* the legacy determinism bins — a unit test pins each of them to
-//! its reference constructor in `fh_scenarios::plan`, and their artifact
-//! hash locks are pinned to the golden bytes in `tests/golden/`.
+//! are the only definition of those scenarios; their artifact hash locks
+//! pin them to the golden bytes in `tests/golden/`.
 //!
 //! Everything here prints thread-invariant bytes: CI `cmp`s the corpus
 //! and fuzz outputs across `--threads` values the same way it compares
@@ -72,8 +71,24 @@ pub const CORPUS: [(&str, &str); 15] = [
     ),
 ];
 
-/// Loads one plan from TOML, rebases it onto `seed`, runs it, and judges
-/// its expectations.
+/// Parses the compiled-in corpus plan `file` (e.g. `"plans/chaos.toml"`).
+///
+/// # Panics
+///
+/// If `file` is not in [`CORPUS`] or does not parse — both are bugs the
+/// corpus unit tests catch.
+#[must_use]
+pub fn corpus_plan(file: &str) -> ScenarioPlan {
+    let (_, toml) = CORPUS
+        .iter()
+        .find(|(f, _)| *f == file)
+        .unwrap_or_else(|| panic!("{file} not in CORPUS"));
+    ScenarioPlan::from_toml(toml, file).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Loads one plan from TOML, rebases it onto `seed` (`None` keeps the
+/// plan's own seed and artifact lock), runs it, and judges its
+/// expectations.
 ///
 /// # Errors
 ///
@@ -83,11 +98,14 @@ pub const CORPUS: [(&str, &str); 15] = [
 pub fn run_corpus_plan(
     toml: &str,
     file: &str,
-    seed: u64,
+    seed: Option<u64>,
     threads: usize,
 ) -> Result<String, String> {
-    let plan = ScenarioPlan::from_toml(toml, file).map_err(|e| format!("{e}\n"))?;
-    let outcome = run_plan(&plan.with_seed(seed), threads);
+    let mut plan = ScenarioPlan::from_toml(toml, file).map_err(|e| format!("{e}\n"))?;
+    if let Some(seed) = seed {
+        plan = plan.with_seed(seed);
+    }
+    let outcome = run_plan(&plan, threads);
     if outcome.report.is_empty() {
         Ok(outcome.artifact)
     } else {
@@ -194,15 +212,6 @@ pub fn run_fuzz(count: u64, seed: u64, threads: usize) -> Result<String, String>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fh_scenarios::plan::{reference_chaos, reference_storm, reference_timeline};
-
-    fn corpus_plan(file: &str) -> ScenarioPlan {
-        let (_, toml) = CORPUS
-            .iter()
-            .find(|(f, _)| *f == file)
-            .unwrap_or_else(|| panic!("{file} not in CORPUS"));
-        ScenarioPlan::from_toml(toml, file).expect("corpus plan parses")
-    }
 
     #[test]
     fn whole_corpus_parses() {
@@ -211,25 +220,16 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{file} failed to parse: {e}"));
             assert!(!plan.name.is_empty(), "{file}");
         }
-    }
-
-    /// The three determinism bins are corpus plans now; each TOML must
-    /// decode to exactly its reference constructor (modulo the artifact
-    /// lock, which only the TOML carries) or the golden bytes drift.
-    #[test]
-    fn legacy_corpus_plans_match_their_reference_constructors() {
-        for (file, reference) in [
-            ("plans/chaos.toml", reference_chaos()),
-            ("plans/storm.toml", reference_storm()),
-            ("plans/timeline.toml", reference_timeline()),
+        // The plans pinned to tests/golden/ must lock their artifact bytes.
+        for file in [
+            "plans/chaos.toml",
+            "plans/storm.toml",
+            "plans/timeline.toml",
         ] {
-            let mut plan = corpus_plan(file);
             assert!(
-                plan.expectations.artifact_fnv1a.is_some(),
+                corpus_plan(file).expectations.artifact_fnv1a.is_some(),
                 "{file} must lock its artifact bytes"
             );
-            plan.expectations.artifact_fnv1a = None;
-            assert_eq!(plan, reference, "{file} drifted from its reference");
         }
     }
 
@@ -241,21 +241,21 @@ mod tests {
             .iter()
             .find(|(f, _)| *f == "plans/parked_control.toml")
             .expect("corpus");
-        let ok = run_corpus_plan(toml, file, 2003, 2);
+        let ok = run_corpus_plan(toml, file, None, 2);
         assert!(ok.is_ok(), "{}", ok.unwrap_err());
 
         // Tampering with the locked artifact hash (flip the first digit)
         // must fail with a structured report naming the check.
         let broken = toml.replace("artifact_fnv1a = \"0x0", "artifact_fnv1a = \"0x1");
         assert_ne!(broken, *toml, "lock line not found to tamper with");
-        let err = run_corpus_plan(&broken, file, 2003, 2).unwrap_err();
+        let err = run_corpus_plan(&broken, file, None, 2).unwrap_err();
         assert!(err.contains("\"artifact_fnv1a\""), "{err}");
         assert!(err.contains("\"violations\": 1"), "{err}");
     }
 
     #[test]
     fn malformed_corpus_plan_is_a_pointed_parse_error() {
-        let err = run_corpus_plan("[plan]\nseed = 1\n", "broken.toml", 2003, 1).unwrap_err();
+        let err = run_corpus_plan("[plan]\nseed = 1\n", "broken.toml", None, 1).unwrap_err();
         assert_eq!(err, "broken.toml: [plan].name: required key is missing\n");
     }
 

@@ -739,220 +739,6 @@ pub fn background_load(bg_kbps: &[f64], seed: u64, threads: usize) -> Background
     result
 }
 
-// ---------------------------------------------------------------------
-// Chaos sweep — handover robustness vs control-plane loss
-// ---------------------------------------------------------------------
-
-/// Robustness metrics at one injected loss probability.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ChaosPoint {
-    /// Per-packet loss probability injected on the PAR↔NAR wire and on
-    /// both air interfaces.
-    pub loss: f64,
-    /// Handovers that completed the anticipated (predictive) exchange.
-    pub predictive: u64,
-    /// Handovers that fell back to the reactive path.
-    pub reactive: u64,
-    /// Handovers still unresolved when the run ended (wedged).
-    pub failed: u64,
-    /// Mean LinkDown → MAP-binding-restored latency, in milliseconds
-    /// (grows with every retransmission round the signaling needed).
-    pub recovery_ms: f64,
-    /// Per-class data drops (F1 real-time, F2 high-priority, F3 best
-    /// effort), all reasons combined.
-    pub class_drops: [u64; 3],
-    /// Packets the fault layer itself discarded, control and data.
-    pub fault_drops: u64,
-    /// Control retransmissions spent (host solicit/FNA + router HI).
-    pub retransmissions: u64,
-    /// Degradation-ladder steps taken (exchanges that exhausted their
-    /// retry budget).
-    pub degradations: u64,
-    /// Simulator events processed by this point.
-    pub events: u64,
-}
-
-/// The chaos sweep series plus run accounting.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ChaosSweepResult {
-    /// One point per tested loss probability.
-    pub points: Vec<ChaosPoint>,
-    /// Total simulator events across all points.
-    pub events: u64,
-}
-
-/// The x-axis of the chaos figure: loss up to the 20 % acceptance bound.
-pub const CHAOS_LOSS_PROBS: [f64; 6] = [0.0, 0.025, 0.05, 0.10, 0.15, 0.20];
-
-/// Chaos sweep: seeded fault injection on every control-plane path (the
-/// PAR↔NAR wire plus both air interfaces) with hardened signaling
-/// retransmission, a ping-pong host and three classified 128 kb/s flows.
-/// Each point classifies every handover attempt
-/// (predictive / reactive / failed) and must pass the end-of-run
-/// packet-conservation audit — a wedged scenario panics here rather than
-/// producing a quietly wrong figure.
-///
-/// A thin adapter over [`crate::plan::reference_chaos`]: the sweep *is*
-/// that plan with `loss_probs` as its axis, run through
-/// [`crate::plan::run_plan`].
-#[must_use]
-pub fn chaos_sweep(loss_probs: &[f64], seed: u64, threads: usize) -> ChaosSweepResult {
-    let mut plan = crate::plan::reference_chaos().with_seed(seed);
-    plan.axis = crate::plan::Axis::Loss(loss_probs.to_vec());
-    let outcome = crate::plan::run_plan(&plan, threads).expect_clean();
-    let points = outcome
-        .points
-        .iter()
-        .map(|p| ChaosPoint {
-            loss: p.loss.unwrap_or(0.0),
-            predictive: p.predictive,
-            reactive: p.reactive,
-            failed: p.failed,
-            recovery_ms: p.recovery_ms,
-            class_drops: p.class_drops,
-            fault_drops: p.fault_drops,
-            retransmissions: p.retransmissions,
-            degradations: p.degradations,
-            events: p.events,
-        })
-        .collect();
-    ChaosSweepResult {
-        points,
-        events: outcome.events,
-    }
-}
-
-// ---------------------------------------------------------------------
-// Handover storm — admission overload and soft-state survival at scale
-// ---------------------------------------------------------------------
-
-/// One scheme's outcome at one storm size.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct StormScheme {
-    /// Scheme label (`NAR` = original FMIPv6, the enhanced scheme's label
-    /// for classified dual buffering).
-    pub label: String,
-    /// Per-class data drops (real-time, high-priority, best effort), all
-    /// reasons combined.
-    pub class_drops: [u64; 3],
-    /// Worst per-flow p99 end-to-end delay per class, in milliseconds.
-    pub class_p99_ms: [f64; 3],
-    /// Packets released by soft-state lifetime expiry.
-    pub expired: u64,
-    /// Packets reclaimed from dead or abandoned state.
-    pub reclaimed: u64,
-    /// Handover attempts still unresolved at the end of the run.
-    pub failed: u64,
-    /// Host routes the lifetime sweep expired unrefreshed.
-    pub routes_expired: u64,
-    /// Simulator events processed by the run.
-    pub events: u64,
-}
-
-/// Both schemes' outcomes at one storm size.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct StormPoint {
-    /// Number of hosts handing over in the storm window.
-    pub n_mhs: usize,
-    /// Original FMIPv6 (NAR-only buffering).
-    pub fmipv6: StormScheme,
-    /// The enhanced scheme (classified dual buffering).
-    pub enhanced: StormScheme,
-}
-
-/// The storm sweep series plus run accounting.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct StormSweepResult {
-    /// One point per tested storm size.
-    pub points: Vec<StormPoint>,
-    /// Total simulator events across all points.
-    pub events: u64,
-}
-
-/// The x-axis of the storm figure: hosts handing over in one window.
-pub const STORM_SIZES: [usize; 6] = [4, 8, 12, 16, 20, 24];
-
-/// Handover storm: `n` hosts hand over within a staggered window against
-/// routers provisioned for far fewer, for original FMIPv6 (NAR-only)
-/// versus the enhanced classified dual buffering — Fig 4.2 at scale, with
-/// per-class drops and delays under admission exhaustion. Every point
-/// runs with soft-state lifetimes armed and must pass both the
-/// packet-conservation audit and the resource-leak audit; both schemes at
-/// the same storm size share a seed so they face an identical workload.
-///
-/// A thin adapter over [`crate::plan::reference_storm`]: the sweep *is*
-/// that plan with `sizes` as its axis, run through
-/// [`crate::plan::run_plan`].
-#[must_use]
-pub fn storm_sweep(sizes: &[usize], seed: u64, threads: usize) -> StormSweepResult {
-    let mut plan = crate::plan::reference_storm().with_seed(seed);
-    plan.axis = crate::plan::Axis::Hosts(sizes.to_vec());
-    let outcome = crate::plan::run_plan(&plan, threads).expect_clean();
-    let as_scheme = |p: &crate::plan::PointRun| StormScheme {
-        label: p.scheme.label().to_owned(),
-        class_drops: p.class_drops,
-        class_p99_ms: p.class_p99_ms,
-        expired: p.expired,
-        reclaimed: p.reclaimed,
-        failed: p.failed,
-        routes_expired: p.routes_expired,
-        events: p.events,
-    };
-    let points = sizes
-        .iter()
-        .enumerate()
-        .map(|(i, &n)| StormPoint {
-            n_mhs: n,
-            fmipv6: as_scheme(&outcome.points[2 * i]),
-            enhanced: as_scheme(&outcome.points[2 * i + 1]),
-        })
-        .collect();
-    StormSweepResult {
-        points,
-        events: outcome.events,
-    }
-}
-
-// ---------------------------------------------------------------------
-// Storm timeline — the observability subsystem's reference export
-// ---------------------------------------------------------------------
-
-/// Storm sizes exported as timelines: a small cut of [`STORM_SIZES`] —
-/// the export is for *inspecting* handovers, not for the figure's x-axis.
-pub const TIMELINE_SIZES: [usize; 2] = [4, 8];
-
-/// A merged Chrome-trace timeline plus run accounting.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TimelineResult {
-    /// The Chrome-trace ("trace event format") JSON array — loadable in
-    /// Perfetto / `chrome://tracing`. Byte-identical at any thread count.
-    pub chrome_json: String,
-    /// Total simulator events across all exported points.
-    pub events: u64,
-}
-
-/// Exports the handover-storm runs as one merged Chrome-trace timeline:
-/// each grid point (storm size × scheme) becomes a `pid` partition whose
-/// tracks are the simulation's actors, with handover spans, phase marks
-/// and per-class buffer events. Points fan across the worker pool and
-/// fragments merge in grid order, so the JSON is **byte-identical at any
-/// thread count** — CI `cmp`s these bytes across `--threads` values.
-/// Seeds derive exactly as in [`storm_sweep`], so a timeline can be laid
-/// next to the matching storm CSV row.
-///
-/// A thin adapter over [`crate::plan::reference_timeline`] run through
-/// [`crate::plan::run_plan`].
-#[must_use]
-pub fn storm_timeline(sizes: &[usize], seed: u64, threads: usize) -> TimelineResult {
-    let mut plan = crate::plan::reference_timeline().with_seed(seed);
-    plan.axis = crate::plan::Axis::Hosts(sizes.to_vec());
-    let outcome = crate::plan::run_plan(&plan, threads).expect_clean();
-    TimelineResult {
-        chrome_json: outcome.artifact,
-        events: outcome.events,
-    }
-}
-
 /// Control-plane accounting for one handover (§3.3 signaling argument).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SignalingResult {

@@ -1,23 +1,14 @@
 //! Declarative scenario plans: one TOML file describes a whole run.
 //!
-//! A [`ScenarioPlan`] bundles everything the repro/chaos/storm/timeline
-//! drivers used to hard-code — topology, protocol tunables, workloads,
-//! fault and storm specs, the sweep axis, the RNG seed — together with an
-//! [`Expectations`] block evaluated after quiesce. Plans load from a
-//! small TOML subset (see [`ScenarioPlan::from_toml`]), run through the
-//! same [`crate::sweep::parallel_map`] grid engine as the hand-written
-//! experiments, and render the established artifacts (chaos CSV, storm
-//! CSV, Chrome-trace JSON) byte-for-byte.
-//!
-//! The three legacy drivers are themselves plans now:
-//! [`reference_chaos`], [`reference_storm`] and [`reference_timeline`]
-//! encode their exact configurations, and
-//! [`crate::experiments::chaos_sweep`] /
-//! [`crate::experiments::storm_sweep`] /
-//! [`crate::experiments::storm_timeline`] are thin adapters over
-//! [`run_plan`]. The corpus TOML files in `crates/bench/plans/` parse to
-//! these constructors exactly (a test asserts it), so the CSV bytes CI
-//! locked in `tests/golden/` cannot drift.
+//! A [`ScenarioPlan`] bundles a whole scenario — topology, protocol
+//! tunables, workloads, fault and storm specs, the sweep axis, the RNG
+//! seed — together with an [`Expectations`] block evaluated after
+//! quiesce. Plans load from a small TOML subset (see
+//! [`ScenarioPlan::from_toml`]), run through the same
+//! [`crate::sweep::parallel_map`] grid engine as the hand-written
+//! experiments, and render the chaos CSV, storm CSV, Chrome-trace JSON
+//! or per-point CSV artifact. The chaos, storm and timeline scenarios
+//! exist only as the corpus TOML files in `crates/bench/plans/`.
 //!
 //! [`fuzz_plan`] derives random-but-valid plans from a seed for the
 //! `plan --fuzz` smoke battery: every fuzzed plan must conserve packets,
@@ -302,103 +293,6 @@ impl ScenarioPlan {
             _ => self.topology.hosts,
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// Reference plans — the legacy drivers, as data
-// ---------------------------------------------------------------------
-
-/// The chaos sweep as a plan: hardened signaling, a ping-pong host under
-/// three classified 128 kb/s flows, loss injected on every control-plane
-/// path. Exactly [`crate::experiments::chaos_sweep`]'s configuration.
-#[must_use]
-pub fn reference_chaos() -> ScenarioPlan {
-    let mut protocol = ProtocolConfig::proposed();
-    protocol.buffer_request = 40;
-    protocol.rtx = RetransmitConfig::hardened();
-    ScenarioPlan {
-        name: "chaos".to_owned(),
-        seed: 2003,
-        report: ReportKind::Chaos,
-        topology: TopologySpec {
-            hosts: 1,
-            buffer_capacity: 40,
-            movement: MovementPlan::PingPong,
-            ..TopologySpec::default()
-        },
-        protocol,
-        schemes: vec![Scheme::PROPOSED],
-        axis: Axis::Loss(crate::experiments::CHAOS_LOSS_PROBS.to_vec()),
-        workloads: FLOW_CLASSES
-            .iter()
-            .map(|&class| WorkloadSpec {
-                hosts: HostSelector::One(0),
-                class: ClassPlan::Fixed(class),
-                packet_bytes: 160,
-                interval: SimDuration::from_millis(10),
-            })
-            .collect(),
-        faults: FaultPlan::default(),
-        run: RunSpec {
-            traffic_start: SimTime::from_millis(500),
-            traffic_stop: SimTime::from_secs(30),
-            horizon: SimTime::from_secs(45),
-            telemetry_ring: 0,
-        },
-        expectations: Expectations::default(),
-    }
-}
-
-/// The handover storm as a plan: staggered one-way walks, one 64 kb/s
-/// flow per host with round-robin classes, soft-state lifetimes armed,
-/// original FMIPv6 against the enhanced scheme. Exactly
-/// [`crate::experiments::storm_sweep`]'s configuration.
-#[must_use]
-pub fn reference_storm() -> ScenarioPlan {
-    let mut protocol = ProtocolConfig::with_scheme(Scheme::NarOnly);
-    protocol.buffer_request = 12;
-    protocol.host_route_lifetime = SimDuration::from_secs(2);
-    protocol.dead_peer_timeout = SimDuration::from_secs(3);
-    ScenarioPlan {
-        name: "storm".to_owned(),
-        seed: 2003,
-        report: ReportKind::Storm,
-        topology: TopologySpec {
-            hosts: 4,
-            buffer_capacity: 42,
-            movement: MovementPlan::OneWay,
-            stagger: SimDuration::from_millis(500),
-            ..TopologySpec::default()
-        },
-        protocol,
-        schemes: vec![Scheme::NarOnly, Scheme::Dual { classify: true }],
-        axis: Axis::Hosts(crate::experiments::STORM_SIZES.to_vec()),
-        workloads: vec![WorkloadSpec {
-            hosts: HostSelector::All,
-            class: ClassPlan::RoundRobin,
-            packet_bytes: 160,
-            interval: SimDuration::from_millis(20),
-        }],
-        faults: FaultPlan::default(),
-        run: RunSpec::default(),
-        expectations: Expectations {
-            no_leaks: true,
-            ..Expectations::default()
-        },
-    }
-}
-
-/// The storm timeline as a plan: the storm run at two sizes with the
-/// full observability subsystem on, rendered as Chrome-trace JSON.
-/// Exactly [`crate::experiments::storm_timeline`]'s configuration.
-#[must_use]
-pub fn reference_timeline() -> ScenarioPlan {
-    let mut plan = reference_storm();
-    plan.name = "timeline".to_owned();
-    plan.report = ReportKind::Timeline;
-    plan.axis = Axis::Hosts(crate::experiments::TIMELINE_SIZES.to_vec());
-    plan.run.telemetry_ring = DEFAULT_TIMELINE_RING;
-    plan
 }
 
 // ---------------------------------------------------------------------
@@ -2133,7 +2027,8 @@ horizon_ms = 3000
 
     #[test]
     fn grid_shares_seeds_across_schemes_at_one_axis_point() {
-        let mut plan = reference_storm();
+        let mut plan = ScenarioPlan::from_toml(MINIMAL, "minimal.toml").expect("parses");
+        plan.schemes = vec![Scheme::NarOnly, Scheme::Dual { classify: true }];
         plan.axis = Axis::Hosts(vec![4, 8]);
         let grid = build_grid(&plan);
         assert_eq!(grid.len(), 4);

@@ -8,7 +8,7 @@
 
 use fh_core::{ProtocolConfig, RetransmitConfig};
 use fh_net::{FaultSpec, HandoverOutcome, ServiceClass};
-use fh_scenarios::experiments::{self, CHAOS_LOSS_PROBS};
+use fh_scenarios::plan::{run_plan, Axis, ScenarioPlan};
 use fh_scenarios::{HmipConfig, HmipScenario, MovementPlan};
 use fh_sim::SimTime;
 use proptest::prelude::*;
@@ -108,16 +108,25 @@ impl FailedCount for HmipScenario {
 fn chaos_sweep_completes_with_zero_wedged_handovers() {
     // The acceptance bound: loss up to 20 % on the PAR↔NAR wire and both
     // air interfaces. Every point must finish with all attempts resolved
-    // (the conservation audit runs inside the sweep and panics on leaks).
-    let r = experiments::chaos_sweep(&CHAOS_LOSS_PROBS, 2003, 2);
-    assert_eq!(r.points.len(), CHAOS_LOSS_PROBS.len());
+    // (the plan's conservation expectation must hold at every point).
+    let plan = ScenarioPlan::from_toml(
+        include_str!("../crates/bench/plans/chaos.toml"),
+        "plans/chaos.toml",
+    )
+    .expect("chaos plan parses");
+    assert_eq!(plan.seed, 2003);
+    let Axis::Loss(loss_probs) = &plan.axis else {
+        panic!("the chaos plan sweeps loss");
+    };
+    assert_eq!(loss_probs.last(), Some(&0.20));
+    let r = run_plan(&plan, 2).expect_clean();
+    assert_eq!(r.points.len(), loss_probs.len());
     for p in &r.points {
-        assert_eq!(p.failed, 0, "wedged handover at loss {}: {:?}", p.loss, p);
+        let loss = p.loss.expect("loss axis");
+        assert_eq!(p.failed, 0, "wedged handover at loss {loss}: {p:?}");
         assert!(
             p.predictive + p.reactive >= 3,
-            "ping-pong must keep handing over at loss {}: {:?}",
-            p.loss,
-            p
+            "ping-pong must keep handing over at loss {loss}: {p:?}"
         );
     }
     // The zero-loss point is clean chaos plumbing: no fault drops, no

@@ -7,8 +7,9 @@
 //! it, and after quiesce nothing — no session, reservation, route or
 //! keyed timer — is left behind.
 
+use fh_core::Scheme;
 use fh_net::{NodeFaultSpec, ServiceClass};
-use fh_scenarios::experiments;
+use fh_scenarios::plan::{run_plan, Axis, ScenarioPlan};
 use fh_scenarios::{HmipConfig, HmipScenario, MovementPlan};
 use fh_sim::{SimDuration, SimTime};
 
@@ -164,32 +165,44 @@ fn node_faults_are_opt_in() {
 #[test]
 fn storm_sweep_is_thread_invariant_and_leak_free() {
     // Two storm sizes at two worker counts: identical audited outcomes.
-    // Every point runs its own conservation and leak audits internally —
-    // a leak panics the sweep, so completion is itself the audit.
-    let sizes = [6, 12];
-    let a = experiments::storm_sweep(&sizes, 5, 1);
-    let b = experiments::storm_sweep(&sizes, 5, 2);
+    // Every point runs its own conservation and leak audits (the plan's
+    // expectations) — a leak fails the run, so a clean run is the audit.
+    let mut plan = ScenarioPlan::from_toml(
+        include_str!("../crates/bench/plans/storm.toml"),
+        "plans/storm.toml",
+    )
+    .expect("storm plan parses")
+    .with_seed(5);
+    assert!(plan.expectations.no_leaks, "the storm plan audits leaks");
+    plan.axis = Axis::Hosts(vec![6, 12]);
+    let a = run_plan(&plan, 1).expect_clean();
+    let b = run_plan(&plan, 2).expect_clean();
+    assert_eq!(a.points.len(), 4, "two sizes x two schemes");
     assert_eq!(a.points.len(), b.points.len());
-    for (pa, pb) in a.points.iter().zip(&b.points) {
-        assert_eq!(pa.n_mhs, pb.n_mhs);
-        for (sa, sb) in [(&pa.fmipv6, &pb.fmipv6), (&pa.enhanced, &pb.enhanced)] {
-            assert_eq!(sa.class_drops, sb.class_drops, "mhs={}", pa.n_mhs);
+    // Points run in grid order: per size, original FMIPv6 then enhanced.
+    for (pa, pb) in a.points.chunks(2).zip(b.points.chunks(2)) {
+        let (fmipv6, enhanced) = (&pa[0], &pa[1]);
+        let n_mhs = fmipv6.hosts;
+        assert_eq!(n_mhs, pb[0].hosts);
+        assert_eq!(fmipv6.scheme, Scheme::NarOnly);
+        assert_eq!(enhanced.scheme, Scheme::Dual { classify: true });
+        for (sa, sb) in pa.iter().zip(pb) {
+            assert_eq!(sa.class_drops, sb.class_drops, "mhs={n_mhs}");
             assert_eq!(sa.failed, sb.failed);
             assert_eq!(sa.expired, sb.expired);
             assert_eq!(sa.reclaimed, sb.reclaimed);
             assert_eq!(sa.routes_expired, sb.routes_expired);
-            assert_eq!(sa.events, sb.events, "mhs={}", pa.n_mhs);
+            assert_eq!(sa.events, sb.events, "mhs={n_mhs}");
         }
         // No wedged handover at any storm size, and the enhanced scheme
         // must beat plain FMIPv6 under overload (Fig 4.2 at scale).
-        assert_eq!(pa.fmipv6.failed, 0);
-        assert_eq!(pa.enhanced.failed, 0);
-        let fmipv6: u64 = pa.fmipv6.class_drops.iter().sum();
-        let enhanced: u64 = pa.enhanced.class_drops.iter().sum();
+        assert_eq!(fmipv6.failed, 0);
+        assert_eq!(enhanced.failed, 0);
+        let fmipv6: u64 = fmipv6.class_drops.iter().sum();
+        let enhanced: u64 = enhanced.class_drops.iter().sum();
         assert!(
             enhanced < fmipv6,
-            "enhanced must drop less at mhs={}: {enhanced} vs {fmipv6}",
-            pa.n_mhs
+            "enhanced must drop less at mhs={n_mhs}: {enhanced} vs {fmipv6}"
         );
     }
 }
