@@ -9,9 +9,6 @@
 //! Every figure function takes a thread count, forwarded to the
 //! deterministic sweep engine ([`fh_scenarios::sweep`]): the rendered
 //! table is bit-identical at any value. Single-run figures ignore it.
-//! Alongside the text, a [`FigureRun`] reports how many simulator events
-//! the figure processed, which the `repro` binary turns into the
-//! events/second column of `BENCH_sweeps.json`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,15 +24,6 @@ use fh_scenarios::experiments::{self, BufferUtilizationParams, FIG_4_6_RATES};
 use fh_scenarios::plan::run_plan;
 use fh_scenarios::sweep::parallel_map;
 use fh_sim::SimDuration;
-
-/// One regenerated figure: the rendered table plus run accounting.
-#[derive(Debug, Clone)]
-pub struct FigureRun {
-    /// The plain-text table, exactly as `repro` prints it.
-    pub text: String,
-    /// Total simulator events processed while regenerating the figure.
-    pub events: u64,
-}
 
 /// Parameters shared by the QoS / delay experiments (§4.2.2–4.2.3).
 pub mod params {
@@ -54,7 +42,7 @@ pub mod params {
 
 /// Fig 4.2 — buffer utilization of different handoff mechanisms.
 #[must_use]
-pub fn fig4_2(threads: usize) -> FigureRun {
+pub fn fig4_2(threads: usize) -> String {
     let r = experiments::buffer_utilization(BufferUtilizationParams::default(), threads);
     let mut out = String::new();
     let _ = writeln!(
@@ -74,10 +62,7 @@ pub fn fig4_2(threads: usize) -> FigureRun {
         }
         let _ = writeln!(out);
     }
-    FigureRun {
-        text: out,
-        events: r.events,
-    }
+    out
 }
 
 fn render_qos(result: &experiments::QosDropsResult, title: &str) -> String {
@@ -106,7 +91,7 @@ fn render_qos(result: &experiments::QosDropsResult, title: &str) -> String {
 
 /// Fig 4.3 — drops per flow, original fast handover, buffer = 40.
 #[must_use]
-pub fn fig4_3(_threads: usize) -> FigureRun {
+pub fn fig4_3(_threads: usize) -> String {
     let r = experiments::qos_drops(
         Scheme::NarOnly,
         params::FH_CAPACITY,
@@ -114,18 +99,15 @@ pub fn fig4_3(_threads: usize) -> FigureRun {
         params::HANDOFFS,
         params::SEED,
     );
-    FigureRun {
-        text: render_qos(
-            &r,
-            "Fig 4.3 — cumulative drops, original fast handover (buffer 40)",
-        ),
-        events: r.events,
-    }
+    render_qos(
+        &r,
+        "Fig 4.3 — cumulative drops, original fast handover (buffer 40)",
+    )
 }
 
 /// Fig 4.4 — drops per flow, proposed method, classification disabled.
 #[must_use]
-pub fn fig4_4(_threads: usize) -> FigureRun {
+pub fn fig4_4(_threads: usize) -> String {
     let r = experiments::qos_drops(
         Scheme::Dual { classify: false },
         params::PROPOSED_CAPACITY,
@@ -133,18 +115,15 @@ pub fn fig4_4(_threads: usize) -> FigureRun {
         params::HANDOFFS,
         params::SEED,
     );
-    FigureRun {
-        text: render_qos(
-            &r,
-            "Fig 4.4 — cumulative drops, proposed method (buffer 20, class disabled)",
-        ),
-        events: r.events,
-    }
+    render_qos(
+        &r,
+        "Fig 4.4 — cumulative drops, proposed method (buffer 20, class disabled)",
+    )
 }
 
 /// Fig 4.5 — drops per flow, proposed method, classification enabled.
 #[must_use]
-pub fn fig4_5(_threads: usize) -> FigureRun {
+pub fn fig4_5(_threads: usize) -> String {
     let r = experiments::qos_drops(
         Scheme::Dual { classify: true },
         params::PROPOSED_CAPACITY,
@@ -152,18 +131,15 @@ pub fn fig4_5(_threads: usize) -> FigureRun {
         params::HANDOFFS,
         params::SEED,
     );
-    FigureRun {
-        text: render_qos(
-            &r,
-            "Fig 4.5 — cumulative drops, proposed method (buffer 20, class enabled)",
-        ),
-        events: r.events,
-    }
+    render_qos(
+        &r,
+        "Fig 4.5 — cumulative drops, proposed method (buffer 20, class enabled)",
+    )
 }
 
 /// Fig 4.6 — drops vs per-flow data rate, one handoff, proposed method.
 #[must_use]
-pub fn fig4_6(threads: usize) -> FigureRun {
+pub fn fig4_6(threads: usize) -> String {
     let r = experiments::rate_sweep(
         &FIG_4_6_RATES,
         params::PROPOSED_CAPACITY,
@@ -188,10 +164,7 @@ pub fn fig4_6(threads: usize) -> FigureRun {
             rate, r.drops[0][i], r.drops[1][i], r.drops[2][i]
         );
     }
-    FigureRun {
-        text: out,
-        events: r.events,
-    }
+    out
 }
 
 fn render_delay(r: &experiments::DelayTraceResult, title: &str) -> String {
@@ -227,7 +200,7 @@ fn render_delay(r: &experiments::DelayTraceResult, title: &str) -> String {
 
 /// Fig 4.7 — end-to-end delay, original fast handover (buffer 40).
 #[must_use]
-pub fn fig4_7(_threads: usize) -> FigureRun {
+pub fn fig4_7(_threads: usize) -> String {
     let r = experiments::delay_trace(
         Scheme::NarOnly,
         params::FH_CAPACITY,
@@ -235,15 +208,12 @@ pub fn fig4_7(_threads: usize) -> FigureRun {
         SimDuration::from_millis(2),
         params::SEED,
     );
-    FigureRun {
-        text: render_delay(&r, "Fig 4.7 — e2e delay, fast handover (buffer 40)"),
-        events: r.events,
-    }
+    render_delay(&r, "Fig 4.7 — e2e delay, fast handover (buffer 40)")
 }
 
 /// Fig 4.8 — end-to-end delay, proposed (buffer 20, class disabled).
 #[must_use]
-pub fn fig4_8(_threads: usize) -> FigureRun {
+pub fn fig4_8(_threads: usize) -> String {
     let r = experiments::delay_trace(
         Scheme::Dual { classify: false },
         params::PROPOSED_CAPACITY,
@@ -251,18 +221,15 @@ pub fn fig4_8(_threads: usize) -> FigureRun {
         SimDuration::from_millis(2),
         params::SEED,
     );
-    FigureRun {
-        text: render_delay(
-            &r,
-            "Fig 4.8 — e2e delay, proposed (buffer 20, class disabled)",
-        ),
-        events: r.events,
-    }
+    render_delay(
+        &r,
+        "Fig 4.8 — e2e delay, proposed (buffer 20, class disabled)",
+    )
 }
 
 /// Fig 4.9 — delay with classification, PAR↔NAR link delay 2 ms.
 #[must_use]
-pub fn fig4_9(_threads: usize) -> FigureRun {
+pub fn fig4_9(_threads: usize) -> String {
     let r = experiments::delay_trace(
         Scheme::Dual { classify: true },
         params::PROPOSED_CAPACITY,
@@ -270,15 +237,12 @@ pub fn fig4_9(_threads: usize) -> FigureRun {
         SimDuration::from_millis(2),
         params::SEED,
     );
-    FigureRun {
-        text: render_delay(&r, "Fig 4.9 — e2e delay, proposed + class (AR link 2 ms)"),
-        events: r.events,
-    }
+    render_delay(&r, "Fig 4.9 — e2e delay, proposed + class (AR link 2 ms)")
 }
 
 /// Fig 4.10 — delay with classification, PAR↔NAR link delay 50 ms.
 #[must_use]
-pub fn fig4_10(_threads: usize) -> FigureRun {
+pub fn fig4_10(_threads: usize) -> String {
     let r = experiments::delay_trace(
         Scheme::Dual { classify: true },
         params::PROPOSED_CAPACITY,
@@ -286,10 +250,7 @@ pub fn fig4_10(_threads: usize) -> FigureRun {
         SimDuration::from_millis(50),
         params::SEED,
     );
-    FigureRun {
-        text: render_delay(&r, "Fig 4.10 — e2e delay, proposed + class (AR link 50 ms)"),
-        events: r.events,
-    }
+    render_delay(&r, "Fig 4.10 — e2e delay, proposed + class (AR link 50 ms)")
 }
 
 fn render_tcp(r: &experiments::TcpHandoffResult, title: &str) -> String {
@@ -336,28 +297,22 @@ fn render_tcp(r: &experiments::TcpHandoffResult, title: &str) -> String {
 
 /// Fig 4.12 — TCP sequence trace through an L2 handoff, no buffering.
 #[must_use]
-pub fn fig4_12(_threads: usize) -> FigureRun {
+pub fn fig4_12(_threads: usize) -> String {
     let r = experiments::tcp_l2_handoff(false, params::SEED);
-    FigureRun {
-        text: render_tcp(&r, "Fig 4.12 — TCP through L2 handoff (no buffering)"),
-        events: r.events,
-    }
+    render_tcp(&r, "Fig 4.12 — TCP through L2 handoff (no buffering)")
 }
 
 /// Fig 4.13 — TCP sequence trace through an L2 handoff, proposed method.
 #[must_use]
-pub fn fig4_13(_threads: usize) -> FigureRun {
+pub fn fig4_13(_threads: usize) -> String {
     let r = experiments::tcp_l2_handoff(true, params::SEED);
-    FigureRun {
-        text: render_tcp(&r, "Fig 4.13 — TCP through L2 handoff (proposed method)"),
-        events: r.events,
-    }
+    render_tcp(&r, "Fig 4.13 — TCP through L2 handoff (proposed method)")
 }
 
 /// Fig 4.14 — TCP throughput during the L2 handoff, both runs (fanned
 /// across the worker pool — they are independent simulations).
 #[must_use]
-pub fn fig4_14(threads: usize) -> FigureRun {
+pub fn fig4_14(threads: usize) -> String {
     let mut runs = parallel_map(threads, &[true, false], |_, &buffering| {
         experiments::tcp_l2_handoff(buffering, params::SEED)
     });
@@ -382,15 +337,12 @@ pub fn fig4_14(threads: usize) -> FigureRun {
         "totals: {} bytes (buffer) vs {} bytes (none)",
         with.bytes_delivered, without.bytes_delivered
     );
-    FigureRun {
-        text: out,
-        events: with.events + without.events,
-    }
+    out
 }
 
 /// Ablation — best-effort admission threshold `a`.
 #[must_use]
-pub fn ablation_threshold(threads: usize) -> FigureRun {
+pub fn ablation_threshold(threads: usize) -> String {
     let r = experiments::threshold_sweep(&[0, 1, 2, 4, 8, 12, 16, 19], params::SEED, threads);
     let mut out = String::new();
     let _ = writeln!(out, "Ablation — threshold a (case 1c/3c admission)");
@@ -402,15 +354,12 @@ pub fn ablation_threshold(threads: usize) -> FigureRun {
             a, r.best_effort_drops[i], r.high_priority_drops[i]
         );
     }
-    FigureRun {
-        text: out,
-        events: r.events,
-    }
+    out
 }
 
 /// Ablation — black-out duration (60–400 ms measured 802.11 range).
 #[must_use]
-pub fn ablation_blackout(threads: usize) -> FigureRun {
+pub fn ablation_blackout(threads: usize) -> String {
     let r = experiments::blackout_sweep(&[60, 100, 200, 300, 400], params::SEED, threads);
     let mut out = String::new();
     let _ = writeln!(out, "Ablation — L2 black-out duration vs total drops");
@@ -422,15 +371,12 @@ pub fn ablation_blackout(threads: usize) -> FigureRun {
             ms, r.with_buffering[i], r.without_buffering[i]
         );
     }
-    FigureRun {
-        text: out,
-        events: r.events,
-    }
+    out
 }
 
 /// Ablation — per-packet flush processing cost (§4.2.3 observation).
 #[must_use]
-pub fn ablation_pacing(threads: usize) -> FigureRun {
+pub fn ablation_pacing(threads: usize) -> String {
     let r = experiments::flush_pacing_sweep(&[0, 500, 1_000, 2_000, 5_000], params::SEED, threads);
     let mut out = String::new();
     let _ = writeln!(out, "Ablation — flush pacing vs worst-case delay (HP flow)");
@@ -446,15 +392,12 @@ pub fn ablation_pacing(threads: usize) -> FigureRun {
             us, r.p99_delay_ms[i], r.hp_losses[i]
         );
     }
-    FigureRun {
-        text: out,
-        events: r.events,
-    }
+    out
 }
 
 /// Ablation — handover quality while a neighbor saturates the cell.
 #[must_use]
-pub fn ablation_background(threads: usize) -> FigureRun {
+pub fn ablation_background(threads: usize) -> String {
     let r = experiments::background_load(&[64.0, 256.0, 512.0, 1024.0], params::SEED, threads);
     let mut out = String::new();
     let _ = writeln!(out, "Ablation — background cell load vs handover quality");
@@ -470,16 +413,13 @@ pub fn ablation_background(threads: usize) -> FigureRun {
             k, r.hp_losses[i], r.hp_p99_ms[i], r.bg_losses[i]
         );
     }
-    FigureRun {
-        text: out,
-        events: r.events,
-    }
+    out
 }
 
 /// Chaos sweep — handover robustness under seeded control-plane loss,
 /// rendered from the points of the `plans/chaos.toml` corpus plan.
 #[must_use]
-pub fn chaos(threads: usize) -> FigureRun {
+pub fn chaos(threads: usize) -> String {
     let r = run_plan(&planio::corpus_plan("plans/chaos.toml"), threads).expect_clean();
     let mut out = String::new();
     let _ = writeln!(
@@ -508,15 +448,12 @@ pub fn chaos(threads: usize) -> FigureRun {
             p.degradations
         );
     }
-    FigureRun {
-        text: out,
-        events: r.events,
-    }
+    out
 }
 
 /// Ablation — signaling accounting for one proposed-scheme handover.
 #[must_use]
-pub fn ablation_signaling(_threads: usize) -> FigureRun {
+pub fn ablation_signaling(_threads: usize) -> String {
     let r = experiments::signaling_overhead(params::SEED);
     let mut out = String::new();
     let _ = writeln!(out, "Signaling — control messages for one handover (§3.3)");
@@ -530,10 +467,7 @@ pub fn ablation_signaling(_threads: usize) -> FigureRun {
         "total={} piggybacked={} control_bytes={}",
         r.total, r.piggybacked, r.control_bytes
     );
-    FigureRun {
-        text: out,
-        events: r.events,
-    }
+    out
 }
 
 #[cfg(test)]
@@ -546,6 +480,6 @@ mod tests {
         let start = golden.find("Chaos —").expect("golden has the chaos table");
         let section = &golden[start..];
         let end = section.find("\n==== ").unwrap_or(section.len() - 1);
-        assert_eq!(super::chaos(2).text, section[..end]);
+        assert_eq!(super::chaos(2), section[..end]);
     }
 }

@@ -11,52 +11,14 @@
 //! core, default 1). Figures fan out across the pool and each sweep
 //! figure additionally fans its grid points, so stdout is **byte-identical
 //! at any thread count** — results are printed in figure order after all
-//! runs complete. A full (unfiltered) table run also writes
-//! `BENCH_sweeps.json`: per-figure wall time, simulator events, and
-//! events/second, plus the thread count, for machine consumption.
+//! runs complete. Timing lives in the separate `perfbench` package.
 
 use std::env;
-use std::fmt::Write as _;
 use std::process::ExitCode;
-use std::time::Instant;
 
 use fh_scenarios::sweep::{parallel_map, resolve_threads};
 
-type FigureFn = fn(usize) -> fh_bench::FigureRun;
-
-/// Per-figure measurement destined for `BENCH_sweeps.json`.
-struct Timing {
-    name: &'static str,
-    wall_s: f64,
-    events: u64,
-}
-
-fn render_json(threads: usize, total_wall_s: f64, timings: &[Timing]) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"threads\": {threads},");
-    let _ = writeln!(out, "  \"total_wall_s\": {total_wall_s:.3},");
-    let total_events: u64 = timings.iter().map(|t| t.events).sum();
-    let _ = writeln!(out, "  \"total_events\": {total_events},");
-    let _ = writeln!(
-        out,
-        "  \"total_events_per_sec\": {:.0},",
-        total_events as f64 / total_wall_s.max(1e-9)
-    );
-    let _ = writeln!(out, "  \"figures\": [");
-    for (i, t) in timings.iter().enumerate() {
-        let comma = if i + 1 < timings.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"name\": \"{}\", \"wall_s\": {:.3}, \"events\": {}, \"events_per_sec\": {:.0}}}{comma}",
-            t.name,
-            t.wall_s,
-            t.events,
-            t.events as f64 / t.wall_s.max(1e-9)
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
+type FigureFn = fn(usize) -> String;
 
 fn main() -> ExitCode {
     let mut filters: Vec<String> = env::args().skip(1).collect();
@@ -113,31 +75,10 @@ fn main() -> ExitCode {
     // Figure-level fan-out: independent figures run concurrently on the
     // same pool size as their internal point fan-out. Output is collected
     // and printed in figure order, so stdout does not depend on `threads`.
-    let t0 = Instant::now();
-    let runs = parallel_map(threads, &selected, |_, &(name, f)| {
-        let start = Instant::now();
-        let run = f(threads);
-        let timing = Timing {
-            name,
-            wall_s: start.elapsed().as_secs_f64(),
-            events: run.events,
-        };
-        (timing, run.text)
-    });
-    let total_wall_s = t0.elapsed().as_secs_f64();
-
-    for (timing, text) in &runs {
-        println!("==== {} ====", timing.name);
+    let runs = parallel_map(threads, &selected, |_, &(name, f)| (name, f(threads)));
+    for (name, text) in &runs {
+        println!("==== {name} ====");
         println!("{text}");
-    }
-
-    if all {
-        let timings: Vec<Timing> = runs.into_iter().map(|(t, _)| t).collect();
-        let json = render_json(threads, total_wall_s, &timings);
-        match std::fs::write("BENCH_sweeps.json", &json) {
-            Ok(()) => eprintln!("wrote BENCH_sweeps.json ({threads} threads, {total_wall_s:.1}s)"),
-            Err(e) => eprintln!("could not write BENCH_sweeps.json: {e}"),
-        }
     }
 
     ExitCode::SUCCESS

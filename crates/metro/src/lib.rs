@@ -14,8 +14,8 @@
 //! same contract as everything else: **byte-identical output at any
 //! thread count**. Within an epoch, shards share nothing; at the epoch
 //! barrier, mailboxes drain in (source domain, send order) order; the
-//! merged registry is folded in domain-index order. No step depends on
-//! which worker ran what.
+//! per-domain tallies are folded in domain-index order. No step depends
+//! on which worker ran what.
 //!
 //! ```
 //! use fh_metro::{run, MetroConfig};
@@ -39,7 +39,7 @@ use fh_net::BoundaryFabric;
 use fh_sim::shard::{run_epochs, EpochReport};
 use fh_sim::stats::Histogram;
 use fh_sim::{derive_seed, SimDuration, SimTime};
-use fh_telemetry::{Cell, CsvTable, MetricsRegistry};
+use fh_telemetry::{Cell, CsvTable};
 
 pub use domain::{ClassCounts, CrossPacket, Domain, CLASSES, CLASS_LABELS};
 
@@ -173,8 +173,8 @@ pub struct DomainSummary {
 
 /// Everything a metro run produces.
 ///
-/// Split into the *deterministic* part (counts, histograms, registry,
-/// the rendered [`MetroResults::artifact`]) — byte-identical at any
+/// Split into the *deterministic* part (counts, histograms, the
+/// rendered [`MetroResults::artifact`]) — byte-identical at any
 /// thread count — and the *measured* part (wall-clock, epoch timing
 /// decomposition) that only the bench layer reports.
 #[derive(Debug)]
@@ -195,8 +195,6 @@ pub struct MetroResults {
     pub leak_clean: bool,
     /// Per-domain roll-ups, domain-index order.
     pub domains: Vec<DomainSummary>,
-    /// Per-domain registries merged in domain-index order.
-    pub registry: MetricsRegistry,
     /// Epoch executor accounting (barriers, messages, busy/critical
     /// time). Measured, not deterministic.
     pub report: EpochReport,
@@ -277,29 +275,6 @@ impl MetroResults {
     }
 }
 
-/// Builds one registry from a finalized domain's counters, under the
-/// shared `metro.*` names so the domain-order merge folds them.
-fn domain_registry(d: &Domain) -> MetricsRegistry {
-    let mut r = MetricsRegistry::default();
-    for (k, label) in CLASS_LABELS.iter().enumerate() {
-        let id = r.counter(&format!("metro.generated.{label}"));
-        r.add(id, d.counts.generated[k]);
-        let id = r.counter(&format!("metro.delivered.{label}"));
-        r.add(id, d.counts.delivered[k]);
-        let id = r.counter(&format!("metro.drop.{label}"));
-        r.add(id, d.counts.drops(k));
-    }
-    let id = r.counter("metro.handover.count");
-    r.add(id, d.handovers);
-    let id = r.counter("metro.boundary.tx_pkts");
-    r.add(id, d.boundary_tx.0);
-    let id = r.counter("metro.boundary.tx_bytes");
-    r.add(id, d.boundary_tx.1);
-    let id = r.counter("metro.events");
-    r.add(id, d.events_processed);
-    r
-}
-
 /// Runs one metro deployment to its horizon on up to `threads` workers.
 ///
 /// Determinism contract: for a fixed config, the deterministic half of
@@ -331,14 +306,13 @@ pub fn run(cfg: &MetroConfig, threads: usize) -> MetroResults {
         Histogram::new(0.0, 2_000.0, 2_000),
         Histogram::new(0.0, 2_000.0, 2_000),
     ];
-    let mut registry = MetricsRegistry::default();
     let mut summaries = Vec::with_capacity(domains.len());
     let mut leak_clean = true;
     let mut events = 0u64;
     let mut handovers = 0u64;
     let mut btx = (0u64, 0u64);
     // Merge order is domain-index order — part of the determinism
-    // contract (registry folding and histogram merging are commutative
+    // contract (count folding and histogram merging are commutative
     // today, but the order is pinned so they never need to be).
     for d in &mut domains {
         leak_clean &= d.finalize();
@@ -346,7 +320,6 @@ pub fn run(cfg: &MetroConfig, threads: usize) -> MetroResults {
         for (dl, dd) in delay.iter_mut().zip(&d.delay) {
             dl.merge(dd);
         }
-        registry.merge(&domain_registry(d));
         events += d.events_processed;
         handovers += d.handovers;
         btx.0 += d.boundary_tx.0;
@@ -370,7 +343,6 @@ pub fn run(cfg: &MetroConfig, threads: usize) -> MetroResults {
         boundary_bytes: btx.1,
         leak_clean,
         domains: summaries,
-        registry,
         report,
         elapsed,
     }
@@ -461,20 +433,6 @@ mod tests {
         assert!(
             none.counts.dropped_blackout.iter().sum::<u64>()
                 > blind.counts.dropped_blackout.iter().sum::<u64>()
-        );
-    }
-
-    #[test]
-    fn registry_merges_in_domain_order_to_run_totals() {
-        let r = run(&small(), 2);
-        assert_eq!(
-            r.registry.counter_value("metro.generated.rt"),
-            r.counts.generated[0]
-        );
-        assert_eq!(r.registry.counter_value("metro.events"), r.events_processed);
-        assert_eq!(
-            r.registry.counter_value("metro.boundary.tx_pkts"),
-            r.boundary_packets
         );
     }
 

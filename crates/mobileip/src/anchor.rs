@@ -75,14 +75,6 @@ impl MobilityAnchor {
         self.kind
     }
 
-    /// Prefix for this anchor's entries in the shared stats registry.
-    fn counter_prefix(&self) -> &'static str {
-        match self.kind {
-            BindingKind::Map => "map",
-            _ => "ha",
-        }
-    }
-
     /// Processes a packet that routing delivered to this anchor's node.
     ///
     /// Consumes binding updates addressed to the anchor and packets it can
@@ -122,14 +114,6 @@ impl MobilityAnchor {
             if let Some(coa) = self.cache.lookup(pkt.dst, now) {
                 let outer = pkt.encapsulate(self.addr, coa);
                 self.tunneled += 1;
-                if self.tunneled == 1 {
-                    // Register the counter on first use so end-of-run
-                    // reports list it even when failures never happen.
-                    let name = format!("{}.intercept_failures", self.counter_prefix());
-                    ctx.shared.stats_mut().bump(&name, 0);
-                }
-                let name = format!("{}.tunneled", self.counter_prefix());
-                ctx.shared.stats_mut().bump(&name, 1);
                 let node = self.node;
                 if let Some(returned) = send_from(ctx, node, outer) {
                     // The CoA routes back to this very node (the MH is at
@@ -139,8 +123,6 @@ impl MobilityAnchor {
                 return None;
             }
             self.intercept_failures += 1;
-            let name = format!("{}.intercept_failures", self.counter_prefix());
-            ctx.shared.stats_mut().bump(&name, 1);
             fh_net::record_drop(ctx, pkt.flow, DropReason::Unroutable);
             return None;
         }

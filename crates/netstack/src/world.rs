@@ -258,28 +258,20 @@ pub struct NetStats {
     /// handover attempt, with the protocol phases as timestamped marks.
     #[serde(skip)]
     pub spans: fh_telemetry::SpanStore,
-    drops: HashMap<DropReason, u64>,
-    per_flow_drops: HashMap<FlowId, u64>,
+    /// Drops by reason, indexed by declaration order ([`DropReason::ALL`]).
+    drops: [u64; DropReason::ALL.len()],
     /// Data packets delivered to their final destination.
     pub delivered: u64,
     /// Control messages sent, by kind name.
-    control_sent: HashMap<String, u64>,
+    control_sent: HashMap<&'static str, u64>,
     /// Total control bytes sent (bodies + IPv6 headers).
     pub control_bytes: u64,
     /// Control messages that carried a piggybacked buffer option.
     pub piggybacked: u64,
-    /// Per-flow data packets entering the network (recorded at the source).
-    per_flow_sent: HashMap<FlowId, u64>,
-    /// Per-flow data packets reaching their application sink.
-    per_flow_delivered: HashMap<FlowId, u64>,
-    /// Per-flow extra copies created by fault-injected duplication.
-    per_flow_duplicated: HashMap<FlowId, u64>,
+    /// Per-flow conservation ledger. Control-plane losses land in flow 0.
+    flows: HashMap<FlowId, FlowAudit>,
     /// Handover outcome tally, indexed by [`HandoverOutcome`].
     outcomes: [u64; 3],
-    /// Named metrics mirrored from node-local components. Iteration is
-    /// sorted by name, so any rendering of it is deterministic.
-    #[serde(skip)]
-    metrics: fh_telemetry::MetricsRegistry,
 }
 
 /// End-of-run packet-conservation snapshot for one flow.
@@ -288,7 +280,7 @@ pub struct NetStats {
 /// entered the network (plus every fault-injected duplicate) must either
 /// have reached its sink or be accounted to a [`DropReason`]:
 /// `sent + duplicated == delivered + dropped`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FlowAudit {
     /// Packets the source pushed into the network.
     pub sent: u64,
@@ -318,18 +310,15 @@ impl NetStats {
     /// Records the loss of a data packet. Control-plane losses are counted
     /// under flow 0.
     pub fn record_drop(&mut self, now: SimTime, flow: FlowId, reason: DropReason) {
-        *self.drops.entry(reason).or_insert(0) += 1;
-        *self.per_flow_drops.entry(flow).or_insert(0) += 1;
+        self.drops[reason as usize] += 1;
+        self.flows.entry(flow).or_default().dropped += 1;
         self.trace
             .push(now, crate::trace::TraceEvent::Drop { flow, reason });
     }
 
     /// Records a sent control message.
     pub fn record_control(&mut self, now: SimTime, msg: &ControlMsg) {
-        *self
-            .control_sent
-            .entry(msg.kind_name().to_owned())
-            .or_insert(0) += 1;
+        *self.control_sent.entry(msg.kind_name()).or_insert(0) += 1;
         self.control_bytes += u64::from(msg.wire_size()) + u64::from(Packet::IPV6_HEADER);
         if msg.has_piggyback() {
             self.piggybacked += 1;
@@ -347,18 +336,17 @@ impl NetStats {
     /// Total drops for one reason.
     #[must_use]
     pub fn drops(&self, reason: DropReason) -> u64 {
-        self.drops.get(&reason).copied().unwrap_or(0)
+        self.drops[reason as usize]
     }
 
     /// Total drops across all reasons.
     #[must_use]
     pub fn total_drops(&self) -> u64 {
-        self.drops.values().sum()
+        self.drops.iter().sum()
     }
 
-    /// The full per-reason drop breakdown, in [`DropReason::ALL`] order.
-    /// Iterating the exhaustive constant (instead of the internal map)
-    /// guarantees every variant shows up in tables, zero or not.
+    /// The full per-reason drop breakdown, in [`DropReason::ALL`] order,
+    /// so every variant shows up in tables, zero or not.
     #[must_use]
     pub fn drops_by_reason(&self) -> [(DropReason, u64); DropReason::ALL.len()] {
         DropReason::ALL.map(|r| (r, self.drops(r)))
@@ -367,7 +355,7 @@ impl NetStats {
     /// Drops attributed to one flow.
     #[must_use]
     pub fn flow_drops(&self, flow: FlowId) -> u64 {
-        self.per_flow_drops.get(&flow).copied().unwrap_or(0)
+        self.flow_audit(flow).dropped
     }
 
     /// Number of control messages of the given kind sent so far.
@@ -384,47 +372,47 @@ impl NetStats {
 
     /// Records a data packet entering the network on `flow`.
     pub fn record_sent(&mut self, flow: FlowId) {
-        *self.per_flow_sent.entry(flow).or_insert(0) += 1;
+        self.flows.entry(flow).or_default().sent += 1;
     }
 
     /// Records a data packet reaching its application sink on `flow`.
     pub fn record_delivered(&mut self, flow: FlowId) {
         self.delivered += 1;
-        *self.per_flow_delivered.entry(flow).or_insert(0) += 1;
+        self.flows.entry(flow).or_default().delivered += 1;
     }
 
     /// Records a fault-injected duplicate created on `flow`.
     pub fn record_duplicate(&mut self, flow: FlowId) {
-        *self.per_flow_duplicated.entry(flow).or_insert(0) += 1;
+        self.flows.entry(flow).or_default().duplicated += 1;
     }
 
     /// Packets recorded as sent on `flow`.
     #[must_use]
     pub fn flow_sent(&self, flow: FlowId) -> u64 {
-        self.per_flow_sent.get(&flow).copied().unwrap_or(0)
+        self.flow_audit(flow).sent
     }
 
     /// Packets recorded as delivered on `flow`.
     #[must_use]
     pub fn flow_delivered(&self, flow: FlowId) -> u64 {
-        self.per_flow_delivered.get(&flow).copied().unwrap_or(0)
+        self.flow_audit(flow).delivered
     }
 
     /// The packet-conservation snapshot for one flow.
     #[must_use]
     pub fn flow_audit(&self, flow: FlowId) -> FlowAudit {
-        FlowAudit {
-            sent: self.flow_sent(flow),
-            delivered: self.flow_delivered(flow),
-            duplicated: self.per_flow_duplicated.get(&flow).copied().unwrap_or(0),
-            dropped: self.flow_drops(flow),
-        }
+        self.flows.get(&flow).copied().unwrap_or_default()
     }
 
     /// All flows with recorded sends, sorted (the audit set).
     #[must_use]
     pub fn audited_flows(&self) -> Vec<FlowId> {
-        let mut flows: Vec<FlowId> = self.per_flow_sent.keys().copied().collect();
+        let mut flows: Vec<FlowId> = self
+            .flows
+            .iter()
+            .filter(|(_, audit)| audit.sent > 0)
+            .map(|(&flow, _)| flow)
+            .collect();
         flows.sort();
         flows
     }
@@ -473,40 +461,6 @@ impl NetStats {
     #[must_use]
     pub fn outcomes(&self) -> [(HandoverOutcome, u64); 3] {
         HandoverOutcome::ALL.map(|o| (o, self.outcomes[o.index()]))
-    }
-
-    /// Adds `delta` to the named counter (creating it at zero).
-    ///
-    /// Node-local components mirror their failure counters here — e.g.
-    /// `"map.intercept_failures"` — so runs can assert on shared stats
-    /// instead of reaching into node structs. Components on a hot path
-    /// should instead register a handle once via
-    /// [`NetStats::metrics_mut`] and bump through it.
-    pub fn bump(&mut self, name: &str, delta: u64) {
-        let id = self.metrics.counter(name);
-        self.metrics.add(id, delta);
-    }
-
-    /// Reads a named counter (zero if never bumped).
-    #[must_use]
-    pub fn counter(&self, name: &str) -> u64 {
-        self.metrics.counter_value(name)
-    }
-
-    /// All named counters in sorted order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.metrics.counters()
-    }
-
-    /// The underlying metrics registry (counters, gauges, histograms).
-    #[must_use]
-    pub fn metrics(&self) -> &fh_telemetry::MetricsRegistry {
-        &self.metrics
-    }
-
-    /// Mutable registry access, for components that register handles.
-    pub fn metrics_mut(&mut self) -> &mut fh_telemetry::MetricsRegistry {
-        &mut self.metrics
     }
 }
 
@@ -914,7 +868,7 @@ mod tests {
     }
 
     #[test]
-    fn outcome_tally_and_named_counters() {
+    fn ledger_tallies_outcomes_drops_controls_and_flows() {
         let mut stats = NetStats::new();
         stats.record_outcome(HandoverOutcome::Predictive);
         stats.record_outcome(HandoverOutcome::Predictive);
@@ -924,12 +878,62 @@ mod tests {
         assert_eq!(stats.outcome_count(HandoverOutcome::Failed), 0);
         let tally = stats.outcomes();
         assert_eq!(tally[0], (HandoverOutcome::Predictive, 2));
-        stats.bump("map.intercept_failures", 1);
-        stats.bump("map.intercept_failures", 2);
-        assert_eq!(stats.counter("map.intercept_failures"), 3);
-        assert_eq!(stats.counter("never.bumped"), 0);
-        let names: Vec<&str> = stats.counters().map(|(k, _)| k).collect();
-        assert_eq!(names, vec!["map.intercept_failures"]);
+
+        let t = SimTime::ZERO;
+        let audited = FlowId(2);
+        stats.record_sent(audited);
+        stats.record_sent(audited);
+        stats.record_duplicate(audited);
+        stats.record_delivered(audited);
+        stats.record_drop(t, audited, DropReason::Policy);
+        stats.record_drop(t, audited, DropReason::Policy);
+        // Control-plane losses land in flow 0; a flow with only
+        // duplicates and drops never entered the network at its source.
+        stats.record_drop(t, FlowId(0), DropReason::QueueOverflow);
+        stats.record_duplicate(FlowId(7));
+        stats.record_drop(t, FlowId(7), DropReason::Unroutable);
+
+        let by_reason = stats.drops_by_reason();
+        assert_eq!(by_reason.map(|(r, _)| r), DropReason::ALL);
+        for (reason, n) in by_reason {
+            let want = match reason {
+                DropReason::Policy => 2,
+                DropReason::QueueOverflow | DropReason::Unroutable => 1,
+                _ => 0,
+            };
+            assert_eq!(n, want, "{reason:?}");
+        }
+        assert_eq!(stats.total_drops(), 4);
+        assert_eq!(stats.flow_drops(FlowId(0)), 1);
+
+        assert_eq!(stats.audited_flows(), vec![audited]);
+        assert_eq!(
+            stats.flow_audit(audited),
+            FlowAudit {
+                sent: 2,
+                delivered: 1,
+                duplicated: 1,
+                dropped: 2,
+            }
+        );
+        assert_eq!(stats.flow_audit(FlowId(9)), FlowAudit::default());
+        assert!(stats.conservation_violations().is_empty());
+
+        let hi = ControlMsg::HandoverInitiate {
+            pcoa: Ipv6Addr::LOCALHOST,
+            mh_l2: NodeId::from_index(0),
+            ncoa: None,
+            br: None,
+            per_class: None,
+            auth: None,
+        };
+        stats.record_control(t, &hi);
+        stats.record_control(t, &hi);
+        stats.record_control(t, &ControlMsg::RouterSolicitation);
+        assert_eq!(stats.control_count("HI"), 2);
+        assert_eq!(stats.control_count("RS"), 1);
+        assert_eq!(stats.control_count("FNA"), 0);
+        assert_eq!(stats.control_total(), 3);
     }
 
     #[test]

@@ -638,9 +638,9 @@ impl HmipScenario {
     }
 
     /// End-of-run bookkeeping: classifies every still-open handover
-    /// attempt as [`HandoverOutcome::Failed`] and mirrors the routers'
-    /// activity counters into the shared stats registry. Call once, after
-    /// the final `run_until`. Returns the number of failed attempts.
+    /// attempt as [`HandoverOutcome::Failed`] and closes its span. Call
+    /// once, after the final `run_until`. Returns the number of failed
+    /// attempts.
     pub fn finalize(&mut self) -> u64 {
         let mhs = self.mhs.clone();
         let mut failed = 0u64;
@@ -663,10 +663,6 @@ impl HmipScenario {
         for id in spans.open_spans() {
             spans.end(id, now, HandoverOutcome::Failed.label());
         }
-        let pm = self.par_agent().metrics;
-        let nm = self.nar_agent().metrics;
-        pm.export(&mut self.sim.shared.stats);
-        nm.export(&mut self.sim.shared.stats);
         failed
     }
 

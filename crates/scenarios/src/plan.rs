@@ -17,7 +17,7 @@
 
 use std::str::FromStr;
 
-use fh_core::{ProtocolConfig, RetransmitConfig, Scheme};
+use fh_core::{ArMetrics, ProtocolConfig, RetransmitConfig, Scheme};
 use fh_net::{DropReason, FaultSpec, FlowId, GilbertElliott, NodeFaultSpec, ServiceClass};
 use fh_sim::{derive_seed, Rng64, SimDuration, SimTime};
 use fh_telemetry::{Cell, ChromeTrace, CsvTable, FailureReport};
@@ -506,6 +506,13 @@ fn run_point(plan: &ScenarioPlan, gp: &GridPoint, pid: u64) -> (PointRun, Option
     } else {
         None
     };
+    let ars = [scenario.par_agent().metrics, scenario.nar_agent().metrics];
+    let ar_total = |field: fn(&ArMetrics) -> u64| ars.iter().map(field).sum::<u64>();
+    let (mh_retransmissions, mh_degradations) = (0..scenario.mhs.len())
+        .map(|i| scenario.mh_agent(i))
+        .fold((0, 0), |(r, d), mh| {
+            (r + mh.retransmissions, d + mh.degradations)
+        });
     let stats = &scenario.sim.shared.stats;
     let audit = PointAudit {
         conservation_violations: stats
@@ -524,7 +531,7 @@ fn run_point(plan: &ScenarioPlan, gp: &GridPoint, pid: u64) -> (PointRun, Option
         class_p99_ms,
         peak_bytes_parked: scenario.peak_bytes_parked(),
         wedged_sessions: scenario.wedged_sessions(),
-        shed_order_violations: stats.counter("ar.shed_order_violations"),
+        shed_order_violations: ar_total(|m| m.shed_order_violations),
     };
     let point = PointRun {
         loss: gp.loss,
@@ -537,11 +544,11 @@ fn run_point(plan: &ScenarioPlan, gp: &GridPoint, pid: u64) -> (PointRun, Option
         class_drops,
         class_p99_ms,
         fault_drops: stats.drops(DropReason::FaultInjected),
-        retransmissions: stats.counter("mh.retransmissions") + stats.counter("ar.retransmissions"),
-        degradations: stats.counter("mh.degradations") + stats.counter("ar.hi_exhausted"),
+        retransmissions: mh_retransmissions + ar_total(|m| m.retransmissions),
+        degradations: mh_degradations + ar_total(|m| m.hi_exhausted),
         expired: stats.drops(DropReason::Expired),
         reclaimed: stats.drops(DropReason::Reclaimed),
-        routes_expired: stats.counter("ar.routes_expired"),
+        routes_expired: ar_total(|m| m.routes_expired),
         events: scenario.sim.events_processed(),
         audit,
         metro: None,

@@ -1,6 +1,6 @@
 //! Builder invariants for the composed scenarios.
 
-use fh_core::{ProtocolConfig, Scheme};
+use fh_core::{ArMetrics, ProtocolConfig, Scheme};
 use fh_net::{DropReason, RouteDecision, ServiceClass};
 use fh_scenarios::{
     geometry, HmipConfig, HmipScenario, MovementPlan, RoamingConfig, RoamingScenario, WlanConfig,
@@ -193,9 +193,12 @@ fn overload_sheds_deterministically_and_watchdog_unwedges_sessions() {
         s.peak_bytes_parked()
     );
     assert_eq!(s.wedged_sessions(), 0, "no wedged state survives quiesce");
+    let ar_total = |field: fn(&ArMetrics) -> u64| {
+        field(&s.par_agent().metrics) + field(&s.nar_agent().metrics)
+    };
     let stats = &s.sim.shared.stats;
     assert!(
-        stats.counter("ar.pressure_sheds") > 0,
+        ar_total(|m| m.pressure_sheds) > 0,
         "an 8-host blackout against a 2 kB budget must shed"
     );
     assert!(
@@ -203,11 +206,11 @@ fn overload_sheds_deterministically_and_watchdog_unwedges_sessions() {
         "sheds must be ledgered under their own drop reason"
     );
     assert!(
-        stats.counter("ar.watchdog_fired") > 0,
+        ar_total(|m| m.watchdog_fired) > 0,
         "sessions outliving the 800 ms deadline must be force-resolved"
     );
     assert_eq!(
-        stats.counter("ar.shed_order_violations"),
+        ar_total(|m| m.shed_order_violations),
         0,
         "every shed must run with the earlier ladder rungs exhausted"
     );

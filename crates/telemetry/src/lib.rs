@@ -3,12 +3,11 @@
 //! The paper's claims are per-phase quantities — L2 blackout windows,
 //! per-class buffering decisions, piggybacked signaling round-trips — so
 //! the reproduction needs more than end-of-run aggregates. This crate is
-//! the observability spine every layer above `fh-sim` shares:
+//! the observability spine every layer above `fh-sim` shares. Counts are
+//! not kept here: each counter is a typed field of the component that
+//! owns it (`NetStats`, `ArMetrics`, the host and anchor agents, metro's
+//! `ClassCounts`).
 //!
-//! * [`MetricsRegistry`] — typed counters, gauges and histograms behind a
-//!   handle-based API. Registration returns a small copyable id; the hot
-//!   path is an array index, not a string hash. Registries from
-//!   independent shards [`MetricsRegistry::merge`] by name.
 //! * [`FlightRecorder`] — a fixed-capacity ring buffer of timestamped
 //!   structured events, generic over the event vocabulary. Cheap enough
 //!   to leave on (one branch when disabled) and truly zero-cost when the
@@ -29,13 +28,7 @@
 //!
 //! ```
 //! use fh_sim::SimTime;
-//! use fh_telemetry::{FlightRecorder, MetricsRegistry, SpanStore};
-//!
-//! // Handle-based counters: register once, bump cheaply.
-//! let mut reg = MetricsRegistry::new();
-//! let drops = reg.counter("drops");
-//! reg.add(drops, 3);
-//! assert_eq!(reg.get(drops), 3);
+//! use fh_telemetry::{FlightRecorder, SpanStore};
 //!
 //! // A span with per-phase marks.
 //! let mut spans = SpanStore::new();
@@ -62,12 +55,10 @@
 
 pub mod export;
 mod recorder;
-mod registry;
 pub mod report;
 mod span;
 
 pub use export::{Cell, ChromeTrace, CsvTable, TraceInstant};
 pub use recorder::FlightRecorder;
-pub use registry::{CounterId, GaugeId, HistogramId, MetricsRegistry};
 pub use report::{FailureReport, ReportEntry};
 pub use span::{Span, SpanId, SpanStore};
