@@ -10,11 +10,10 @@
 //! cargo run -p fh-bench --bin metro --release -- --check BENCH_metro.json
 //! ```
 //!
-//! **Methodology.** The reference container has a single CPU core, so
-//! sharded wall-clock equals sequential wall-clock there; parallel
-//! speedup cannot be observed directly. The epoch executor therefore
-//! measures its own critical path: per epoch it records every shard's
-//! advance time, summing the *total* (`busy` — what a single-queue
+//! **Methodology.** The reference container has two CPU cores, too few
+//! to observe a 4-shard wall-clock speedup directly. The epoch executor
+//! therefore measures its own critical path: per epoch it records every
+//! shard's advance time, summing the *total* (`busy` — what a single-queue
 //! execution pays) and the *max* (`critical` — what gates the barrier).
 //! `busy / (critical + exchange)` is the speedup an ideal one-core-per-
 //! shard machine observes, measured from the actual run rather than
@@ -236,8 +235,8 @@ fn main() -> ExitCode {
          default MetroConfig\","
     );
     println!(
-        "  \"methodology\": \"single-core reference container: wall-clock cannot show \
-         parallel speedup, so the epoch executor measures its own critical path \
+        "  \"methodology\": \"2-core reference container (two cores cannot show a \
+         4-shard wall-clock speedup), so the epoch executor measures its own critical path \
          (busy = sum of shard-advance time, critical = per-epoch max); \
          critical_path_speedup = busy / (critical + exchange) is the measured speedup \
          ceiling on one core per shard. Timing rows run the sequential schedule \

@@ -8,6 +8,11 @@
 //! [`CrossPacket`] carries the few hot fields a packet needs to survive
 //! the crossing (pools are per-domain, so handles cannot travel).
 //!
+//! Its event queue is a pending set: one FIFO lane per event kind
+//! scheduled a fixed delay ahead (generator ticks, local arrivals,
+//! handover ends) and a heap for the rest, popped in exactly the
+//! `(time, seq)` order of [`fh_sim::EventQueue`].
+//!
 //! The event loop is deliberately leaner than the full protocol fabric:
 //! metro-scale runs trade per-packet protocol fidelity for host count,
 //! keeping exactly the behaviours the buffer-management comparison
@@ -19,8 +24,9 @@ use std::collections::VecDeque;
 use fh_core::Scheme;
 use fh_net::{doc_subnet, FlowId, Packet, PacketPool, ServiceClass};
 use fh_sim::stats::Histogram;
-use fh_sim::{derive_domain_seed, EventQueue, Outbox, Rng64, ShardState, SimDuration, SimTime};
+use fh_sim::{derive_domain_seed, Outbox, Rng64, ShardState, SimDuration, SimTime};
 
+use crate::pending::Pending;
 use crate::MetroConfig;
 
 /// Flow classes in F1–F3 order, shared with the scenario layer.
@@ -66,10 +72,10 @@ pub struct CrossPacket {
 /// The per-domain event vocabulary.
 #[derive(Debug, Clone, Copy)]
 enum Ev {
-    /// The correspondent of `host` emits its next packet. Scheduled in
-    /// the *source* domain (the home domain for local flows, the
-    /// correspondent domain for remote ones).
-    Gen { host: u32 },
+    /// The correspondent of `host` emits packet `seq` of its flow.
+    /// Scheduled in the *source* domain (the home domain for local
+    /// flows, the correspondent domain for remote ones).
+    Gen { host: u32, seq: u64 },
     /// A packet reaches `host`'s home domain and meets the buffer
     /// scheme (or the host directly).
     Arrive(CrossPacket),
@@ -143,6 +149,13 @@ impl ClassCounts {
     }
 }
 
+/// Lane of [`Ev::Gen`]: always `packet_interval` ahead.
+const GEN: usize = 0;
+/// Lane of a local [`Ev::Arrive`]: always [`ACCESS_LATENCY`] ahead.
+const LOCAL_ARRIVE: usize = 1;
+/// Lane of [`Ev::HandoverEnd`]: always `blackout` ahead.
+const HANDOVER_END: usize = 2;
+
 /// The mutable per-host state a domain tracks.
 #[derive(Debug, Clone, Default)]
 struct HostState {
@@ -150,8 +163,6 @@ struct HostState {
     blackout: bool,
     /// Parked packets, oldest first, as pool handles.
     buffer: VecDeque<fh_net::PacketHandle>,
-    /// Next per-flow sequence number.
-    next_seq: u64,
     /// Current access router within the domain (cosmetic rotation).
     ar: u32,
 }
@@ -162,17 +173,12 @@ pub struct Domain {
     /// This domain's index (== its shard index).
     pub index: u32,
     cfg: MetroConfig,
-    queue: EventQueue<Ev>,
+    queue: Pending<Ev, 3>,
     rng: Rng64,
     pool: PacketPool,
-    hosts: Vec<u32>,
-    /// Dense per-host state, indexed by position in `hosts`.
+    /// Dense per-host state of the hosts homed here, indexed by
+    /// [`MetroConfig::home_slot`].
     state: Vec<HostState>,
-    /// Global host index → dense slot, for hosts homed here.
-    slot_of: std::collections::HashMap<u32, u32>,
-    /// Per-flow sequence counters for remote flows sourced here (their
-    /// hosts are homed elsewhere, so they have no dense slot).
-    remote_counters: std::collections::HashMap<u32, u64>,
     now: SimTime,
     /// Deterministic tallies.
     pub counts: ClassCounts,
@@ -197,13 +203,10 @@ impl Domain {
         let mut d = Domain {
             index,
             cfg: cfg.clone(),
-            queue: EventQueue::new(),
+            queue: Pending::new(),
             rng: Rng64::seed_from(derive_domain_seed(cfg.seed, index)),
             pool: PacketPool::new(),
-            hosts: Vec::new(),
             state: Vec::new(),
-            slot_of: std::collections::HashMap::new(),
-            remote_counters: std::collections::HashMap::new(),
             now: SimTime::ZERO,
             counts: ClassCounts::default(),
             delay: [
@@ -218,10 +221,8 @@ impl Domain {
         };
         for host in 0..cfg.hosts {
             if cfg.home_domain(host) == index {
-                let slot = d.hosts.len() as u32;
-                d.hosts.push(host);
+                assert_eq!(cfg.home_slot(host), d.state.len(), "round-robin homing");
                 d.state.push(HostState::default());
-                d.slot_of.insert(host, slot);
                 // First residence interval, drawn from this domain's
                 // stream in host order (deterministic).
                 let residence = d.residence();
@@ -235,16 +236,18 @@ impl Domain {
                 // Stagger first emissions so 100k hosts don't fire on
                 // the same nanosecond.
                 let phase = cfg.packet_interval * u64::from(host % 128) / 128;
-                d.queue.push(cfg.traffic_start + phase, Ev::Gen { host });
+                d.queue
+                    .seed_lane(GEN, cfg.traffic_start + phase, Ev::Gen { host, seq: 0 });
             }
         }
+        d.queue.sort_lanes();
         d
     }
 
     /// Number of hosts homed in this domain.
     #[must_use]
     pub fn homed_hosts(&self) -> u32 {
-        self.hosts.len() as u32
+        self.state.len() as u32
     }
 
     /// Exponential residence time from this domain's RNG, floored at
@@ -282,7 +285,7 @@ impl Domain {
     /// A packet meets its host: delivered directly, parked, or dropped
     /// per the scheme's admission matrix.
     fn arrive(&mut self, cp: CrossPacket) {
-        let slot = self.slot_of[&cp.host] as usize;
+        let slot = self.cfg.home_slot(cp.host);
         if !self.state[slot].blackout {
             self.deliver(cp.class, cp.created);
             return;
@@ -318,7 +321,7 @@ impl Domain {
 
     /// Parks one packet in the pool and the host's FIFO.
     fn park(&mut self, slot: usize, cp: CrossPacket) {
-        let host = self.hosts[slot];
+        let host = cp.host;
         let pkt = Packet::data(
             FlowId(host),
             cp.seq,
@@ -334,21 +337,11 @@ impl Domain {
 
     fn handle(&mut self, ev: Ev, outbox: &mut Outbox<CrossPacket>) {
         match ev {
-            Ev::Gen { host } => {
+            Ev::Gen { host, seq } => {
                 if self.now >= self.cfg.traffic_stop {
                     return; // chain ends; no reschedule
                 }
                 let home = self.cfg.home_domain(host);
-                let slot_ref = self.slot_of.get(&host).copied();
-                let seq = if home == self.index {
-                    let s = slot_ref.expect("local flow host homed here") as usize;
-                    let seq = self.state[s].next_seq;
-                    self.state[s].next_seq += 1;
-                    seq
-                } else {
-                    // Remote flow: the correspondent keeps its own count.
-                    self.remote_seq(host)
-                };
                 let class = (host % 3) as u8;
                 self.counts.generated[class as usize] += 1;
                 let cp = CrossPacket {
@@ -359,26 +352,33 @@ impl Domain {
                     created: self.now,
                 };
                 if home == self.index {
-                    self.queue.push(self.now + ACCESS_LATENCY, Ev::Arrive(cp));
+                    self.queue
+                        .push_lane(LOCAL_ARRIVE, self.now + ACCESS_LATENCY, Ev::Arrive(cp));
                 } else {
                     self.boundary_tx.0 += 1;
                     self.boundary_tx.1 += u64::from(cp.size);
                     outbox.send(home as usize, self.now + self.cfg.boundary_latency, cp);
                 }
-                self.queue
-                    .push(self.now + self.cfg.packet_interval, Ev::Gen { host });
+                self.queue.push_lane(
+                    GEN,
+                    self.now + self.cfg.packet_interval,
+                    Ev::Gen { host, seq: seq + 1 },
+                );
             }
             Ev::Arrive(cp) => self.arrive(cp),
             Ev::HandoverStart { host } => {
-                let slot = self.slot_of[&host] as usize;
+                let slot = self.cfg.home_slot(host);
                 self.state[slot].blackout = true;
                 self.state[slot].ar = (self.state[slot].ar + 1) % self.cfg.ars_per_domain.max(1);
                 self.handovers += 1;
-                self.queue
-                    .push(self.now + self.cfg.blackout, Ev::HandoverEnd { host });
+                self.queue.push_lane(
+                    HANDOVER_END,
+                    self.now + self.cfg.blackout,
+                    Ev::HandoverEnd { host },
+                );
             }
             Ev::HandoverEnd { host } => {
-                let slot = self.slot_of[&host] as usize;
+                let slot = self.cfg.home_slot(host);
                 self.state[slot].blackout = false;
                 // Flush, oldest first, paced by the flush spacing; the
                 // PAR-only draft pays the inter-AR re-tunnel on top.
@@ -414,18 +414,6 @@ impl Domain {
             }
             Ev::Deliver { class, created } => self.deliver(class, created),
         }
-    }
-
-    /// Deterministic per-packet sequence for remote flows (the
-    /// correspondent domain does not track the host's state densely).
-    fn remote_seq(&mut self, host: u32) -> u64 {
-        // A per-host monotonic counter kept in the same map the home
-        // domain uses for slots would collide; remote flows instead use
-        // the generation count the artifact never depends on per-packet.
-        let e = self.remote_counters.entry(host).or_insert(0);
-        let v = *e;
-        *e += 1;
-        v
     }
 
     /// Drains everything still queued or parked after the horizon and

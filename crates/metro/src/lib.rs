@@ -31,6 +31,7 @@
 #![warn(missing_docs)]
 
 pub mod domain;
+mod pending;
 
 use std::time::Duration;
 
@@ -113,6 +114,13 @@ impl MetroConfig {
     #[must_use]
     pub fn home_domain(&self, host: u32) -> u32 {
         host % self.domains.max(1)
+    }
+
+    /// The host's dense index among the hosts of its home domain:
+    /// round-robin homing makes it `host / domains`.
+    #[must_use]
+    pub fn home_slot(&self, host: u32) -> usize {
+        (host / self.domains.max(1)) as usize
     }
 
     /// `true` if the host's correspondent lives in another domain.

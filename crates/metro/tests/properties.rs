@@ -23,6 +23,7 @@ fn arb_scheme() -> impl Strategy<Value = Scheme> {
         Just(Scheme::ParOnly),
         Just(Scheme::Dual { classify: false }),
         Just(Scheme::Dual { classify: true }),
+        Just(Scheme::SafetyNet),
     ]
 }
 
