@@ -10,9 +10,9 @@
 //! cargo run -p fh-bench --bin hotpath --release -- --check BENCH_hotpath.json
 //! ```
 //!
-//! `--check FILE` re-measures and fails (exit 1) if the calendar-queue
-//! throughput regressed more than 10% below `budget_events_per_sec` in
-//! FILE — the CI hot-path regression gate. The committed
+//! `--check FILE` re-measures and fails (exit 1) if the faster backend's
+//! throughput, `max(heap, calendar)`, regressed more than 10% below
+//! `budget_events_per_sec` in FILE — the CI hot-path regression gate. The committed
 //! `BENCH_hotpath.json` carries the reference machine's numbers plus the
 //! analysis notes required by the optimization issue; regenerate it by
 //! redirecting this binary's stdout.

@@ -12,10 +12,9 @@
 //! routes, the buffer pool) but none of the protocol state machines: the
 //! signaling layer snapshots its session state into plain-data views
 //! ([`RedirectView`], [`TunnelView`]) and the datapath executes the
-//! [`crate::policy::BufferPolicy`] verdict for the packet. Anything the
-//! signaling layer must learn back (e.g. "I told the peer my buffer is
-//! full") is returned as a [`TunnelVerdict`], keeping the dependency
-//! arrow one-way.
+//! [`PolicyEngine`] verdict for the packet. Anything the signaling layer
+//! must learn back (e.g. "I told the peer my buffer is full") is returned
+//! as a [`TunnelVerdict`], keeping the dependency arrow one-way.
 
 use std::collections::HashMap;
 use std::net::Ipv6Addr;

@@ -1,140 +1,111 @@
-//! The thesis' enhanced dual-router policy — Table 3.3 as a
-//! [`BufferPolicy`].
+//! The thesis' enhanced dual-router scheme — Table 3.3.
+//!
+//! Both routers' buffers cooperate, split half and half, with the
+//! per-class operation matrix of Table 3.3 when `classify` is on
+//! (`DUAL+class`) and class-blind fill-NAR-spill-PAR behavior when it is
+//! off (`DUAL`).
 
 use fh_net::ServiceClass;
 
-use super::{
-    par_spill, AdmissionLimit, Admit, AdmitCtx, AvailabilityCase, BufferPolicy, Overflow,
-    RequestSplit, Role, ShedRung,
-};
+use super::{AdmissionLimit, Admit, AdmitCtx, AvailabilityCase, Overflow, Role};
 
-/// The proposed scheme: both routers' buffers cooperate, split half and
-/// half, with the per-class operation matrix of Table 3.3 when
-/// `classify` is on (`DUAL+class`) and class-blind fill-NAR-spill-PAR
-/// behavior when it is off (`DUAL`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EnhancedDualClass {
-    /// `true` enables the class-aware matrix (Table 3.3).
-    pub classify: bool,
-}
-
-impl EnhancedDualClass {
-    /// The local-park limit for a class-blind dual session: the grant
-    /// when one exists, otherwise whatever the pool will take.
-    fn blind_park(ctx: &AdmitCtx) -> Admit {
-        if ctx.par_granted {
-            Admit::Park(AdmissionLimit::Grant)
-        } else {
-            Admit::Park(AdmissionLimit::PoolOnly)
-        }
+/// The local-park limit for a class-blind dual session: the grant when
+/// one exists, otherwise whatever the pool will take.
+fn blind_park(ctx: &AdmitCtx) -> Admit {
+    if ctx.par_granted {
+        Admit::Park(AdmissionLimit::Grant)
+    } else {
+        Admit::Park(AdmissionLimit::PoolOnly)
     }
 }
 
-impl BufferPolicy for EnhancedDualClass {
-    fn admit(&self, role: Role, ctx: &AdmitCtx) -> Admit {
-        match role {
-            Role::Par if !self.classify => match ctx.case {
-                AvailabilityCase::BothAvailable => {
-                    if ctx.nar_full {
-                        Self::blind_park(ctx)
-                    } else {
-                        Admit::Tunnel { park_at_peer: true }
-                    }
-                }
-                AvailabilityCase::NarOnly => Admit::Tunnel {
-                    park_at_peer: !ctx.nar_full,
-                },
-                AvailabilityCase::ParOnly => Self::blind_park(ctx),
-                AvailabilityCase::NoneAvailable => Admit::Tunnel {
-                    park_at_peer: false,
-                },
-            },
-            Role::Par => match (ctx.case, ctx.class.effective()) {
-                // Case 1: NAR yes, PAR yes.
-                (AvailabilityCase::BothAvailable, ServiceClass::RealTime) => {
+/// Admission for `DUAL` (`classify == false`) and `DUAL+class`.
+pub(super) fn admit(classify: bool, role: Role, ctx: &AdmitCtx) -> Admit {
+    match role {
+        Role::Par if !classify => match ctx.case {
+            AvailabilityCase::BothAvailable => {
+                if ctx.nar_full {
+                    blind_park(ctx)
+                } else {
                     Admit::Tunnel { park_at_peer: true }
                 }
-                (AvailabilityCase::BothAvailable, ServiceClass::HighPriority) => {
-                    if ctx.nar_full {
-                        Admit::Park(AdmissionLimit::Grant)
-                    } else {
-                        Admit::Tunnel { park_at_peer: true }
-                    }
+            }
+            AvailabilityCase::NarOnly => Admit::Tunnel {
+                park_at_peer: !ctx.nar_full,
+            },
+            AvailabilityCase::ParOnly => blind_park(ctx),
+            AvailabilityCase::NoneAvailable => Admit::Tunnel {
+                park_at_peer: false,
+            },
+        },
+        Role::Par => match (ctx.case, ctx.class.effective()) {
+            // Case 1: NAR yes, PAR yes.
+            (AvailabilityCase::BothAvailable, ServiceClass::RealTime) => {
+                Admit::Tunnel { park_at_peer: true }
+            }
+            (AvailabilityCase::BothAvailable, ServiceClass::HighPriority) => {
+                if ctx.nar_full {
+                    Admit::Park(AdmissionLimit::Grant)
+                } else {
+                    Admit::Tunnel { park_at_peer: true }
                 }
-                (AvailabilityCase::BothAvailable, _) => {
-                    Admit::Park(AdmissionLimit::Threshold(ctx.threshold_a))
-                }
-                // Case 2: NAR yes, PAR no.
-                (
-                    AvailabilityCase::NarOnly,
-                    ServiceClass::RealTime | ServiceClass::HighPriority,
-                ) => Admit::Tunnel { park_at_peer: true },
-                (AvailabilityCase::NarOnly, _) => Admit::Tunnel {
-                    park_at_peer: false,
-                },
-                // Case 3: NAR no, PAR yes.
-                (AvailabilityCase::ParOnly, ServiceClass::RealTime) => Admit::Tunnel {
-                    park_at_peer: false,
-                },
-                (AvailabilityCase::ParOnly, ServiceClass::HighPriority) => {
+            }
+            (AvailabilityCase::BothAvailable, _) => {
+                Admit::Park(AdmissionLimit::Threshold(ctx.threshold_a))
+            }
+            // Case 2: NAR yes, PAR no.
+            (AvailabilityCase::NarOnly, ServiceClass::RealTime | ServiceClass::HighPriority) => {
+                Admit::Tunnel { park_at_peer: true }
+            }
+            (AvailabilityCase::NarOnly, _) => Admit::Tunnel {
+                park_at_peer: false,
+            },
+            // Case 3: NAR no, PAR yes.
+            (AvailabilityCase::ParOnly, ServiceClass::RealTime) => Admit::Tunnel {
+                park_at_peer: false,
+            },
+            (AvailabilityCase::ParOnly, ServiceClass::HighPriority) => {
+                Admit::Park(AdmissionLimit::Grant)
+            }
+            (AvailabilityCase::ParOnly, _) => {
+                Admit::Park(AdmissionLimit::Threshold(ctx.threshold_a))
+            }
+            // Case 4: NAR no, PAR no.
+            (
+                AvailabilityCase::NoneAvailable,
+                ServiceClass::RealTime | ServiceClass::HighPriority,
+            ) => Admit::Tunnel {
+                park_at_peer: false,
+            },
+            (AvailabilityCase::NoneAvailable, _) => Admit::Drop,
+        },
+        Role::Nar => {
+            if !ctx.case.nar() {
+                return Admit::Forward;
+            }
+            if !classify {
+                return Admit::Park(AdmissionLimit::Grant);
+            }
+            match ctx.class.effective() {
+                ServiceClass::RealTime | ServiceClass::HighPriority => {
                     Admit::Park(AdmissionLimit::Grant)
                 }
-                (AvailabilityCase::ParOnly, _) => {
-                    Admit::Park(AdmissionLimit::Threshold(ctx.threshold_a))
-                }
-                // Case 4: NAR no, PAR no.
-                (
-                    AvailabilityCase::NoneAvailable,
-                    ServiceClass::RealTime | ServiceClass::HighPriority,
-                ) => Admit::Tunnel {
-                    park_at_peer: false,
-                },
-                (AvailabilityCase::NoneAvailable, _) => Admit::Drop,
-            },
-            Role::Nar => {
-                if !ctx.case.nar() {
-                    return Admit::Forward;
-                }
-                if !self.classify {
-                    return Admit::Park(AdmissionLimit::Grant);
-                }
-                match ctx.class.effective() {
-                    ServiceClass::RealTime | ServiceClass::HighPriority => {
-                        Admit::Park(AdmissionLimit::Grant)
-                    }
-                    _ => Admit::Forward,
-                }
+                _ => Admit::Forward,
             }
         }
     }
+}
 
-    fn overflow(&self, role: Role, class: ServiceClass) -> Overflow {
-        match role {
-            Role::Par => par_spill(class),
-            Role::Nar if !self.classify => Overflow::NotifyPeer,
-            Role::Nar => match class.effective() {
-                ServiceClass::RealTime => Overflow::DropFrontRealtime,
-                ServiceClass::HighPriority => Overflow::NotifyPeer,
-                _ => Overflow::TailDrop,
-            },
-        }
+/// The NAR's reaction to a full pool: class-blind `DUAL` hands every
+/// overflow to the PAR; with classification, stale real-time samples
+/// make room for fresh ones and best effort tail-drops.
+pub(super) fn nar_overflow(classify: bool, class: ServiceClass) -> Overflow {
+    if !classify {
+        return Overflow::NotifyPeer;
     }
-
-    fn on_grant(&self, requested: u32) -> RequestSplit {
-        // §3.1.2 "maximize buffer utilization": half per router.
-        RequestSplit {
-            par: requested.div_ceil(2),
-            nar: requested / 2,
-        }
-    }
-
-    fn shed_ladder(&self) -> [ShedRung; 3] {
-        // Mirrors the Table 3.3 priorities: best effort is sacrificial,
-        // real time tolerates drop-front, flushes are the last resort.
-        [
-            ShedRung::BestEffort,
-            ShedRung::DropFrontRealtime,
-            ShedRung::ForceFlushOldest,
-        ]
+    match class.effective() {
+        ServiceClass::RealTime => Overflow::DropFrontRealtime,
+        ServiceClass::HighPriority => Overflow::NotifyPeer,
+        _ => Overflow::TailDrop,
     }
 }

@@ -1,58 +1,27 @@
 //! The smooth-handover draft baseline — buffer everything at the
 //! previous access router.
 
-use fh_net::ServiceClass;
+use super::{AdmissionLimit, Admit, AdmitCtx, Role};
 
-use super::{
-    par_spill, AdmissionLimit, Admit, AdmitCtx, BufferPolicy, Overflow, RequestSplit, Role,
-    ShedRung,
-};
-
-/// PAR-only buffering (Krishnamurthi et al.'s smooth-handover draft):
-/// the previous router parks departing traffic in its own pool and the
-/// new router delivers whatever reaches it immediately. Class-blind.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct KrishnamurthiSmooth;
-
-impl BufferPolicy for KrishnamurthiSmooth {
-    fn admit(&self, role: Role, ctx: &AdmitCtx) -> Admit {
-        match role {
-            Role::Par => {
-                if ctx.case.par() {
-                    if ctx.par_granted {
-                        Admit::Park(AdmissionLimit::Grant)
-                    } else {
-                        Admit::Park(AdmissionLimit::PoolOnly)
-                    }
+/// Admission for PAR-only buffering (Krishnamurthi et al.'s
+/// smooth-handover draft): the previous router parks departing traffic
+/// in its own pool and the new router delivers whatever reaches it
+/// immediately. Class-blind.
+pub(super) fn admit(role: Role, ctx: &AdmitCtx) -> Admit {
+    match role {
+        Role::Par => {
+            if ctx.case.par() {
+                if ctx.par_granted {
+                    Admit::Park(AdmissionLimit::Grant)
                 } else {
-                    Admit::Tunnel {
-                        park_at_peer: false,
-                    }
+                    Admit::Park(AdmissionLimit::PoolOnly)
+                }
+            } else {
+                Admit::Tunnel {
+                    park_at_peer: false,
                 }
             }
-            Role::Nar => Admit::Forward,
         }
-    }
-
-    fn overflow(&self, role: Role, class: ServiceClass) -> Overflow {
-        match role {
-            Role::Par => par_spill(class),
-            Role::Nar => Overflow::TailDrop,
-        }
-    }
-
-    fn on_grant(&self, requested: u32) -> RequestSplit {
-        RequestSplit {
-            par: requested,
-            nar: 0,
-        }
-    }
-
-    fn shed_ladder(&self) -> [ShedRung; 3] {
-        [
-            ShedRung::BestEffort,
-            ShedRung::DropFrontRealtime,
-            ShedRung::ForceFlushOldest,
-        ]
+        Role::Nar => Admit::Forward,
     }
 }

@@ -1,36 +1,37 @@
 //! The buffer-policy layer: *what* to do with a packet, never *how*.
 //!
 //! This is the bottom layer of the refactored access-router stack
-//! (policy ← datapath ← signaling). A policy is a pure decision table
-//! behind the [`BufferPolicy`] trait: given a packet's class and the
-//! negotiated buffer availability, it answers
+//! (policy ← datapath ← signaling). [`PolicyEngine`] holds the active
+//! [`Scheme`] and answers, as a pure decision table,
 //!
-//! * [`BufferPolicy::admit`] — park, forward, tunnel or drop;
-//! * [`BufferPolicy::overflow`] — what to do when the pool rejects a
+//! * [`PolicyEngine::admit`] — park, forward, tunnel, bicast or drop;
+//! * [`PolicyEngine::overflow`] — what to do when the pool rejects a
 //!   packet the policy wanted parked;
-//! * [`BufferPolicy::on_grant`] — how a host's buffer request is split
+//! * [`PolicyEngine::on_grant`] — how a host's buffer request is split
 //!   between the previous and the new access router;
-//! * [`BufferPolicy::on_flush`] — in which order a parked session drains.
+//! * [`PolicyEngine::classify_batch`] — all of the above for every class
+//!   at once, the form the datapath caches per session snapshot.
 //!
-//! Four schemes implement the trait today — [`NarFifo`] (original
-//! FMIPv6), [`KrishnamurthiSmooth`] (smooth-handover draft),
-//! [`EnhancedDualClass`] (the thesis' Table 3.3 matrix, with and without
-//! classification) and [`SafetyNetBicast`] (vertical-handover bicast with
-//! host-side duplicate suppression) — plus the no-op [`NoBufferPolicy`]
-//! baseline. The
-//! datapath selects one via [`PolicyEngine::for_scheme`], an enum whose
-//! match dispatch compiles away (no vtable on the per-packet hot path).
+//! Each scheme's admission table lives in its own file: `nar_fifo.rs`
+//! (original FMIPv6), `krishnamurthi.rs` (smooth-handover draft),
+//! `enhanced.rs` (the thesis' Table 3.3 matrix, with and without
+//! classification, and its class-aware NAR overflow), `safetynet.rs`
+//! (vertical-handover bicast with host-side duplicate suppression) and
+//! `no_buffer.rs` (the no-op baseline). What every scheme shares — the
+//! PAR-side overflow spill, the request split derived from
+//! [`Scheme::uses_par_buffer`] / [`Scheme::uses_nar_buffer`], and the
+//! shed ladder [`ShedRung::ALL`] — is written once here.
 //!
-//! Adding a scheme is one file: implement [`BufferPolicy`], add a
-//! [`PolicyEngine`] variant, and map it from a [`Scheme`]. Nothing here
-//! may import signaling, datapath or simulator types — the layering test
-//! (`tests/layering.rs`) keeps this module free of actor concerns, so a
-//! policy stays a table you can read against the thesis.
+//! Adding a scheme is one file with an `admit` function plus one arm per
+//! [`PolicyEngine`] method. Nothing here may import signaling, datapath
+//! or simulator types — the layering test (`tests/layering.rs`) keeps
+//! this module free of actor concerns, so a policy stays a table you can
+//! read against the thesis.
 //!
 //! The legacy pure functions ([`par_action`], [`nar_action`],
 //! [`nar_overflow`] in [`matrix`]) remain the normative transcription of
-//! Table 3.3; the golden-matrix test pins the trait implementations
-//! against them, exhaustively.
+//! Table 3.3; the golden-matrix test pins the engine against them,
+//! exhaustively.
 
 #![deny(missing_docs)]
 
@@ -42,14 +43,9 @@ mod nar_fifo;
 mod no_buffer;
 mod safetynet;
 
-pub use enhanced::EnhancedDualClass;
-pub use krishnamurthi::KrishnamurthiSmooth;
 pub use matrix::{
     nar_action, nar_overflow, par_action, AvailabilityCase, NarAction, NarOverflow, ParAction,
 };
-pub use nar_fifo::NarFifo;
-pub use no_buffer::NoBufferPolicy;
-pub use safetynet::SafetyNetBicast;
 
 use fh_net::ServiceClass;
 
@@ -105,7 +101,7 @@ pub enum Admit {
     Forward,
     /// Tunnel to the peer router. `park_at_peer` records what the peer
     /// is *expected* to do (Table 3.3's tunnel-and-buffer vs plain
-    /// tunnel); the peer still runs its own [`BufferPolicy::admit`].
+    /// tunnel); the peer still runs its own [`PolicyEngine::admit`].
     Tunnel {
         /// `true` if the peer is expected to buffer the packet.
         park_at_peer: bool,
@@ -148,8 +144,8 @@ pub struct RequestSplit {
 /// One rung of the overload shed ladder — what the router sacrifices
 /// next once parked bytes cross the high watermark.
 ///
-/// The ladder is *policy-declared* ([`BufferPolicy::shed_ladder`]) so
-/// overload degrades in a chosen order, not an accidental one, and the
+/// Every scheme sheds in the one order of [`ShedRung::ALL`], so overload
+/// degrades in a chosen order, not an accidental one, and the
 /// `shed_order_respected` expectation can audit it after the fact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShedRung {
@@ -164,7 +160,11 @@ pub enum ShedRung {
 }
 
 impl ShedRung {
-    /// Every rung, in the canonical ladder order.
+    /// The shed ladder: under sustained byte pressure the datapath tries
+    /// these rungs strictly in order, moving to the next only when the
+    /// current one has nothing left to give. It mirrors the Table 3.3
+    /// priorities: best effort is sacrificial, real time tolerates
+    /// drop-front, and a forced flush is the last resort.
     pub const ALL: [ShedRung; 3] = [
         ShedRung::BestEffort,
         ShedRung::DropFrontRealtime,
@@ -182,61 +182,13 @@ impl ShedRung {
     }
 }
 
-/// In which order a parked session drains when its flush is released.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlushOrder {
-    /// First-in first-out — arrival order, what every current scheme
-    /// uses. The hook exists so a future policy (e.g. SafetyNet-style
-    /// selective delivery) can reorder or filter without touching the
-    /// datapath.
-    Fifo,
-}
-
-/// One buffering scheme's complete decision surface.
-///
-/// Implementations must be pure: same inputs, same verdicts. The
-/// datapath is the only caller on the hot path and executes the returned
-/// actions; policies never send, park or drop anything themselves.
-pub trait BufferPolicy {
-    /// Decide what happens to one packet at `role`.
-    fn admit(&self, role: Role, ctx: &AdmitCtx) -> Admit;
-
-    /// The reaction when the pool rejects a packet this policy parked.
-    fn overflow(&self, role: Role, class: ServiceClass) -> Overflow;
-
-    /// Split a host's buffer request between the two routers.
-    fn on_grant(&self, requested: u32) -> RequestSplit;
-
-    /// The drain order for a released session's parked packets.
-    fn on_flush(&self) -> FlushOrder {
-        FlushOrder::Fifo
-    }
-
-    /// The declared shed ladder: under sustained byte pressure the
-    /// datapath tries these rungs strictly in order, moving to the next
-    /// only when the current one has nothing left to give.
-    fn shed_ladder(&self) -> [ShedRung; 3] {
-        ShedRung::ALL
-    }
-}
-
-/// The PAR-side overflow reaction shared by every scheme: a rejected
-/// high-priority packet is spilled to the peer unbuffered (the drop-rate
-/// promise matters most), anything else tail-drops.
-pub(crate) fn par_spill(class: ServiceClass) -> Overflow {
-    match class.effective() {
-        ServiceClass::HighPriority => Overflow::SpillPeer,
-        _ => Overflow::TailDrop,
-    }
-}
-
 /// A policy's verdicts for every service class under one `(role,
 /// session)` snapshot — the unit of work for batch classification.
 ///
 /// Everything in an [`AdmitCtx`] except the packet class is session
 /// state, constant across one flush: the availability case, the peer's
 /// BufferFull flag, the local grant, and the spill threshold. So instead
-/// of dispatching the [`PolicyEngine`] once per packet, a flush asks the
+/// of asking the [`PolicyEngine`] once per packet, a flush asks the
 /// engine once per *batch* ([`PolicyEngine::classify_batch`]) and then
 /// routes each packet through this table with a branch-free index on its
 /// effective class.
@@ -279,124 +231,85 @@ impl ClassVerdicts {
     }
 }
 
-/// Evaluates one concrete policy for every class. Generic so each
-/// [`PolicyEngine`] arm monomorphizes with the policy's `admit` /
-/// `overflow` inlined — one outer dispatch, straight-line table fill.
-fn classify_with<P: BufferPolicy>(policy: &P, role: Role, ctx: &AdmitCtx) -> ClassVerdicts {
-    let mut admit = [Admit::Drop; 3];
-    let mut overflow = [Overflow::TailDrop; 3];
-    for (i, class) in ClassVerdicts::CLASSES.into_iter().enumerate() {
-        admit[i] = policy.admit(role, &AdmitCtx { class, ..*ctx });
-        overflow[i] = policy.overflow(role, class);
-    }
-    ClassVerdicts { admit, overflow }
-}
-
-/// Zero-cost dispatcher over the built-in policies.
+/// The decision surface of one [`Scheme`].
 ///
-/// An enum rather than `dyn BufferPolicy` so the per-packet hot path is
-/// a jump table the optimizer can inline through (the `datapath` bench
-/// pins the enum-vs-`dyn` gap).
+/// A plain copy of the scheme: every method is one `match` on it, so the
+/// per-packet hot path is a jump table the optimizer can inline through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PolicyEngine {
-    /// Fast handover without buffering (`FH`).
-    NoBuffer(NoBufferPolicy),
-    /// Original FMIPv6 NAR-only buffering (`NAR`).
-    NarFifo(NarFifo),
-    /// Smooth-handover PAR-only buffering (`PAR`).
-    Krishnamurthi(KrishnamurthiSmooth),
-    /// The thesis' dual-router scheme (`DUAL` / `DUAL+class`).
-    Enhanced(EnhancedDualClass),
-    /// SafetyNet bicast for vertical handovers (`SAFETY`).
-    SafetyNet(SafetyNetBicast),
+pub struct PolicyEngine {
+    scheme: Scheme,
 }
 
 impl PolicyEngine {
     /// The policy implementing a [`Scheme`].
     #[must_use]
     pub fn for_scheme(scheme: Scheme) -> Self {
-        match scheme {
-            Scheme::NoBuffer => PolicyEngine::NoBuffer(NoBufferPolicy),
-            Scheme::NarOnly => PolicyEngine::NarFifo(NarFifo),
-            Scheme::ParOnly => PolicyEngine::Krishnamurthi(KrishnamurthiSmooth),
-            Scheme::Dual { classify } => PolicyEngine::Enhanced(EnhancedDualClass { classify }),
-            Scheme::SafetyNet => PolicyEngine::SafetyNet(SafetyNetBicast),
+        PolicyEngine { scheme }
+    }
+
+    /// Decide what happens to one packet at `role`.
+    #[must_use]
+    #[inline]
+    pub fn admit(&self, role: Role, ctx: &AdmitCtx) -> Admit {
+        match self.scheme {
+            Scheme::NoBuffer => no_buffer::admit(role),
+            Scheme::NarOnly => nar_fifo::admit(role, ctx),
+            Scheme::ParOnly => krishnamurthi::admit(role, ctx),
+            Scheme::Dual { classify } => enhanced::admit(classify, role, ctx),
+            Scheme::SafetyNet => safetynet::admit(role, ctx),
         }
     }
 
-    /// Precomputes the verdicts for every class in one dispatch.
+    /// The reaction when the pool rejects a packet this policy parked.
+    #[must_use]
+    #[inline]
+    pub fn overflow(&self, role: Role, class: ServiceClass) -> Overflow {
+        match (role, self.scheme) {
+            // Every scheme's PAR: a rejected high-priority packet is
+            // spilled to the peer unbuffered (the drop-rate promise
+            // matters most), anything else tail-drops.
+            (Role::Par, _) => match class.effective() {
+                ServiceClass::HighPriority => Overflow::SpillPeer,
+                _ => Overflow::TailDrop,
+            },
+            (Role::Nar, Scheme::Dual { classify }) => enhanced::nar_overflow(classify, class),
+            // Every other NAR tail-drops: a single-buffer scheme has
+            // nobody to spill to, and SafetyNet's overflowing packet is
+            // the insurance copy — the original still races down the old
+            // link, so notifying the peer would only duplicate again.
+            (Role::Nar, _) => Overflow::TailDrop,
+        }
+    }
+
+    /// Split a host's buffer request between the two routers: a scheme
+    /// buffering at both asks each for half (§3.1.2 "maximize buffer
+    /// utilization", the odd slot going to the PAR); the baselines put
+    /// everything on their single router.
+    #[must_use]
+    pub fn on_grant(&self, requested: u32) -> RequestSplit {
+        let (par, nar) = match (self.scheme.uses_par_buffer(), self.scheme.uses_nar_buffer()) {
+            (true, true) => (requested.div_ceil(2), requested / 2),
+            (true, false) => (requested, 0),
+            (false, true) => (0, requested),
+            (false, false) => (0, 0),
+        };
+        RequestSplit { par, nar }
+    }
+
+    /// Precomputes the verdicts for every class at once.
     ///
     /// `ctx.class` is ignored — the returned [`ClassVerdicts`] covers all
     /// classes; the other `AdmitCtx` fields must hold for the whole
     /// batch. Equivalent, class by class, to calling
-    /// [`BufferPolicy::admit`] / [`BufferPolicy::overflow`] per packet
+    /// [`PolicyEngine::admit`] / [`PolicyEngine::overflow`] per packet
     /// (pinned by the `classify_batch_matches_per_packet_dispatch` test).
     #[must_use]
     #[inline]
     pub fn classify_batch(&self, role: Role, ctx: &AdmitCtx) -> ClassVerdicts {
-        match self {
-            PolicyEngine::NoBuffer(p) => classify_with(p, role, ctx),
-            PolicyEngine::NarFifo(p) => classify_with(p, role, ctx),
-            PolicyEngine::Krishnamurthi(p) => classify_with(p, role, ctx),
-            PolicyEngine::Enhanced(p) => classify_with(p, role, ctx),
-            PolicyEngine::SafetyNet(p) => classify_with(p, role, ctx),
-        }
-    }
-}
-
-impl BufferPolicy for PolicyEngine {
-    #[inline]
-    fn admit(&self, role: Role, ctx: &AdmitCtx) -> Admit {
-        match self {
-            PolicyEngine::NoBuffer(p) => p.admit(role, ctx),
-            PolicyEngine::NarFifo(p) => p.admit(role, ctx),
-            PolicyEngine::Krishnamurthi(p) => p.admit(role, ctx),
-            PolicyEngine::Enhanced(p) => p.admit(role, ctx),
-            PolicyEngine::SafetyNet(p) => p.admit(role, ctx),
-        }
-    }
-
-    #[inline]
-    fn overflow(&self, role: Role, class: ServiceClass) -> Overflow {
-        match self {
-            PolicyEngine::NoBuffer(p) => p.overflow(role, class),
-            PolicyEngine::NarFifo(p) => p.overflow(role, class),
-            PolicyEngine::Krishnamurthi(p) => p.overflow(role, class),
-            PolicyEngine::Enhanced(p) => p.overflow(role, class),
-            PolicyEngine::SafetyNet(p) => p.overflow(role, class),
-        }
-    }
-
-    #[inline]
-    fn on_grant(&self, requested: u32) -> RequestSplit {
-        match self {
-            PolicyEngine::NoBuffer(p) => p.on_grant(requested),
-            PolicyEngine::NarFifo(p) => p.on_grant(requested),
-            PolicyEngine::Krishnamurthi(p) => p.on_grant(requested),
-            PolicyEngine::Enhanced(p) => p.on_grant(requested),
-            PolicyEngine::SafetyNet(p) => p.on_grant(requested),
-        }
-    }
-
-    #[inline]
-    fn on_flush(&self) -> FlushOrder {
-        match self {
-            PolicyEngine::NoBuffer(p) => p.on_flush(),
-            PolicyEngine::NarFifo(p) => p.on_flush(),
-            PolicyEngine::Krishnamurthi(p) => p.on_flush(),
-            PolicyEngine::Enhanced(p) => p.on_flush(),
-            PolicyEngine::SafetyNet(p) => p.on_flush(),
-        }
-    }
-
-    #[inline]
-    fn shed_ladder(&self) -> [ShedRung; 3] {
-        match self {
-            PolicyEngine::NoBuffer(p) => p.shed_ladder(),
-            PolicyEngine::NarFifo(p) => p.shed_ladder(),
-            PolicyEngine::Krishnamurthi(p) => p.shed_ladder(),
-            PolicyEngine::Enhanced(p) => p.shed_ladder(),
-            PolicyEngine::SafetyNet(p) => p.shed_ladder(),
+        ClassVerdicts {
+            admit: ClassVerdicts::CLASSES
+                .map(|class| self.admit(role, &AdmitCtx { class, ..*ctx })),
+            overflow: ClassVerdicts::CLASSES.map(|class| self.overflow(role, class)),
         }
     }
 }
@@ -404,6 +317,23 @@ impl BufferPolicy for PolicyEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The ladder lists each rung exactly once, best effort first and the
+    /// forced flush last — the order `ArAgent`'s shed audit and the
+    /// `shed_order_respected` expectation rely on.
+    #[test]
+    fn shed_ladder_lists_each_rung_once_in_priority_order() {
+        for rung in ShedRung::ALL {
+            assert_eq!(
+                ShedRung::ALL.iter().filter(|&&r| r == rung).count(),
+                1,
+                "{rung:?} in {:?}",
+                ShedRung::ALL
+            );
+        }
+        assert_eq!(ShedRung::ALL[0], ShedRung::BestEffort);
+        assert_eq!(ShedRung::ALL[2], ShedRung::ForceFlushOldest);
+    }
 
     /// Batch classification must be a pure cache of the per-packet
     /// dispatch: for every scheme, role, availability case, session-flag
@@ -418,17 +348,6 @@ mod tests {
             AvailabilityCase::ParOnly,
             AvailabilityCase::NoneAvailable,
         ];
-        // Every scheme declares a complete ladder: each rung exactly once.
-        for engine in engines {
-            let ladder = engine.shed_ladder();
-            for rung in ShedRung::ALL {
-                assert_eq!(
-                    ladder.iter().filter(|&&r| r == rung).count(),
-                    1,
-                    "{engine:?} ladder {ladder:?} misdeclares {rung:?}"
-                );
-            }
-        }
         for engine in engines {
             for role in [Role::Par, Role::Nar] {
                 for case in cases {

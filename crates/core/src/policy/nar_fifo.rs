@@ -1,57 +1,22 @@
 //! The original FMIPv6 baseline — buffer everything at the new access
 //! router, first-in first-out.
 
-use fh_net::ServiceClass;
+use super::{AdmissionLimit, Admit, AdmitCtx, Role};
 
-use super::{
-    par_spill, AdmissionLimit, Admit, AdmitCtx, BufferPolicy, Overflow, RequestSplit, Role,
-    ShedRung,
-};
-
-/// NAR-only FIFO buffering (RFC 4068's anticipated handover): the PAR
-/// tunnels every packet; the NAR parks them until the host attaches and
-/// tail-drops on overflow. Class-blind.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NarFifo;
-
-impl BufferPolicy for NarFifo {
-    fn admit(&self, role: Role, ctx: &AdmitCtx) -> Admit {
-        match role {
-            Role::Par => Admit::Tunnel {
-                park_at_peer: ctx.case.nar() && !ctx.nar_full,
-            },
-            Role::Nar => {
-                if ctx.case.nar() {
-                    Admit::Park(AdmissionLimit::Grant)
-                } else {
-                    Admit::Forward
-                }
+/// Admission for NAR-only FIFO buffering (RFC 4068's anticipated
+/// handover): the PAR tunnels every packet; the NAR parks them until the
+/// host attaches and tail-drops on overflow. Class-blind.
+pub(super) fn admit(role: Role, ctx: &AdmitCtx) -> Admit {
+    match role {
+        Role::Par => Admit::Tunnel {
+            park_at_peer: ctx.case.nar() && !ctx.nar_full,
+        },
+        Role::Nar => {
+            if ctx.case.nar() {
+                Admit::Park(AdmissionLimit::Grant)
+            } else {
+                Admit::Forward
             }
         }
-    }
-
-    fn overflow(&self, role: Role, class: ServiceClass) -> Overflow {
-        match role {
-            Role::Par => par_spill(class),
-            // Nobody to spill to: the single buffer tail-drops.
-            Role::Nar => Overflow::TailDrop,
-        }
-    }
-
-    fn on_grant(&self, requested: u32) -> RequestSplit {
-        RequestSplit {
-            par: 0,
-            nar: requested,
-        }
-    }
-
-    fn shed_ladder(&self) -> [ShedRung; 3] {
-        // Class-blind, but the canonical order still applies: whatever is
-        // cheapest to lose goes first.
-        [
-            ShedRung::BestEffort,
-            ShedRung::DropFrontRealtime,
-            ShedRung::ForceFlushOldest,
-        ]
     }
 }

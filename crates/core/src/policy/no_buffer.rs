@@ -1,43 +1,15 @@
-//! The no-buffering baseline — plain fast handover.
+//! The no-buffering baseline — plain fast handover (`FH`): every
+//! redirected packet is tunneled straight through and delivery is
+//! attempted immediately — whatever arrives during the black-out is lost.
 
-use fh_net::ServiceClass;
+use super::{Admit, Role};
 
-use super::{par_spill, Admit, AdmitCtx, BufferPolicy, Overflow, RequestSplit, Role, ShedRung};
-
-/// Fast handover without any buffering (`FH`): every redirected packet
-/// is tunneled straight through and delivery is attempted immediately —
-/// whatever arrives during the black-out is lost.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoBufferPolicy;
-
-impl BufferPolicy for NoBufferPolicy {
-    fn admit(&self, role: Role, _ctx: &AdmitCtx) -> Admit {
-        match role {
-            Role::Par => Admit::Tunnel {
-                park_at_peer: false,
-            },
-            Role::Nar => Admit::Forward,
-        }
-    }
-
-    fn overflow(&self, role: Role, class: ServiceClass) -> Overflow {
-        match role {
-            Role::Par => par_spill(class),
-            Role::Nar => Overflow::TailDrop,
-        }
-    }
-
-    fn on_grant(&self, _requested: u32) -> RequestSplit {
-        RequestSplit { par: 0, nar: 0 }
-    }
-
-    fn shed_ladder(&self) -> [ShedRung; 3] {
-        // Nothing is ever parked, so the ladder never runs; declared
-        // anyway so the audit can treat every scheme uniformly.
-        [
-            ShedRung::BestEffort,
-            ShedRung::DropFrontRealtime,
-            ShedRung::ForceFlushOldest,
-        ]
+/// Admission for `FH`: never park anything.
+pub(super) fn admit(role: Role) -> Admit {
+    match role {
+        Role::Par => Admit::Tunnel {
+            park_at_peer: false,
+        },
+        Role::Nar => Admit::Forward,
     }
 }

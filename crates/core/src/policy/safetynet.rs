@@ -10,72 +10,33 @@
 //! is slow, at the price of duplicate airtime — which the conservation
 //! ledger accounts explicitly as `duplicated`, never as fresh `sent`.
 
-use fh_net::ServiceClass;
+use super::{AdmissionLimit, Admit, AdmitCtx, Role};
 
-use super::{
-    par_spill, AdmissionLimit, Admit, AdmitCtx, BufferPolicy, Overflow, RequestSplit, Role,
-    ShedRung,
-};
-
-/// SafetyNet bicast (`SAFETY`): the PAR multicasts every redirected
-/// packet to the old link *and* the NAR's buffer; the NAR parks the
-/// insurance copies until the host attaches. Class-blind.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SafetyNetBicast;
-
-impl BufferPolicy for SafetyNetBicast {
-    fn admit(&self, role: Role, ctx: &AdmitCtx) -> Admit {
-        match role {
-            // Bicast while the NAR can still park the insurance copy;
-            // once the peer reports BufferFull (or never granted space)
-            // the duplicate would only burn tunnel bandwidth to be
-            // tail-dropped, so degrade to a plain unbuffered tunnel —
-            // the same fallback every other scheme uses.
-            Role::Par => {
-                if ctx.case.nar() && !ctx.nar_full {
-                    Admit::Multicast
-                } else {
-                    Admit::Tunnel {
-                        park_at_peer: false,
-                    }
-                }
-            }
-            Role::Nar => {
-                if ctx.case.nar() {
-                    Admit::Park(AdmissionLimit::Grant)
-                } else {
-                    Admit::Forward
+/// Admission for SafetyNet bicast (`SAFETY`): the PAR multicasts every
+/// redirected packet to the old link *and* the NAR's buffer; the NAR
+/// parks the insurance copies until the host attaches. Class-blind.
+pub(super) fn admit(role: Role, ctx: &AdmitCtx) -> Admit {
+    match role {
+        // Bicast while the NAR can still park the insurance copy;
+        // once the peer reports BufferFull (or never granted space)
+        // the duplicate would only burn tunnel bandwidth to be
+        // tail-dropped, so degrade to a plain unbuffered tunnel —
+        // the same fallback every other scheme uses.
+        Role::Par => {
+            if ctx.case.nar() && !ctx.nar_full {
+                Admit::Multicast
+            } else {
+                Admit::Tunnel {
+                    park_at_peer: false,
                 }
             }
         }
-    }
-
-    fn overflow(&self, role: Role, class: ServiceClass) -> Overflow {
-        match role {
-            Role::Par => par_spill(class),
-            // An overflowing packet here is the *insurance* copy — the
-            // original is still racing down the old link, so notifying
-            // the peer or spilling back would just duplicate again.
-            Role::Nar => Overflow::TailDrop,
+        Role::Nar => {
+            if ctx.case.nar() {
+                Admit::Park(AdmissionLimit::Grant)
+            } else {
+                Admit::Forward
+            }
         }
-    }
-
-    fn on_grant(&self, requested: u32) -> RequestSplit {
-        // All parking happens at the NAR; the PAR only bicasts.
-        RequestSplit {
-            par: 0,
-            nar: requested,
-        }
-    }
-
-    fn shed_ladder(&self) -> [ShedRung; 3] {
-        // Insurance copies are the cheapest thing in the pool to lose:
-        // shed best effort first, then stale real-time, and only then
-        // force a flush.
-        [
-            ShedRung::BestEffort,
-            ShedRung::DropFrontRealtime,
-            ShedRung::ForceFlushOldest,
-        ]
     }
 }

@@ -208,8 +208,9 @@ pub struct ProtocolConfig {
 /// this layer adds the dimension real routers die on — memory. With a
 /// finite [`PressureConfig::byte_budget`], admission is additionally judged
 /// in bytes, and crossing the high watermark engages the shed ladder, which
-/// sacrifices parked packets (`DropReason::PressureShed`) in the policy's
-/// declared rung order until usage falls back to the low watermark.
+/// sacrifices parked packets (`DropReason::PressureShed`) in the rung
+/// order of `policy::ShedRung::ALL` until usage falls back to the low
+/// watermark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PressureConfig {
     /// Byte budget for each router's buffer pool. 0 (the default)

@@ -16,8 +16,8 @@
 //! the diff.
 
 use fh_core::policy::{
-    nar_action, nar_overflow, par_action, Admit, AdmitCtx, AvailabilityCase, BufferPolicy,
-    NarAction, NarOverflow, ParAction, PolicyEngine, Role,
+    nar_action, nar_overflow, par_action, Admit, AdmitCtx, AvailabilityCase, NarAction,
+    NarOverflow, ParAction, PolicyEngine, Role,
 };
 use fh_core::{AdmissionLimit, Scheme};
 use fh_net::ServiceClass;

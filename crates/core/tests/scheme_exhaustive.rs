@@ -5,10 +5,10 @@
 
 use std::path::Path;
 
-use fh_core::policy::{BufferPolicy, PolicyEngine};
+use fh_core::policy::PolicyEngine;
 use fh_core::Scheme;
 
-/// The source file that implements each scheme's [`fh_core::BufferPolicy`].
+/// The source file that holds each scheme's admission table.
 fn policy_source(scheme: Scheme) -> &'static str {
     match scheme {
         Scheme::NoBuffer => "no_buffer.rs",
@@ -35,13 +35,11 @@ fn every_scheme_has_a_policy_file_on_disk() {
 
 #[test]
 fn every_scheme_resolves_to_a_distinct_engine_and_label() {
-    let mut labels = Vec::new();
+    let (mut engines, mut labels) = (Vec::new(), Vec::new());
     for scheme in Scheme::ALL {
-        // for_scheme must not panic, and the round trip through the
-        // engine keeps the capability flags coherent.
         let engine = PolicyEngine::for_scheme(scheme);
-        let ladder = engine.shed_ladder();
-        assert_eq!(ladder.len(), 3, "{scheme:?}");
+        assert!(!engines.contains(&engine), "{scheme:?} shares an engine");
+        engines.push(engine);
         let label = scheme.label();
         assert!(!labels.contains(&label), "duplicate scheme label {label:?}");
         labels.push(label);

@@ -16,8 +16,8 @@
 //! The event loop is deliberately leaner than the full protocol fabric:
 //! metro-scale runs trade per-packet protocol fidelity for host count,
 //! keeping exactly the behaviours the buffer-management comparison
-//! needs — blackout windows, per-scheme admission (cap, dual cap,
-//! class-aware eviction), paced flush, and per-class delay accounting.
+//! needs — blackout windows, per-scheme admission (cap, dual cap), paced
+//! flush, and per-class delay accounting.
 
 use std::collections::VecDeque;
 
@@ -99,9 +99,6 @@ pub struct ClassCounts {
     pub dropped_blackout: [u64; 3],
     /// Dropped because the scheme's buffer cap was reached.
     pub dropped_overflow: [u64; 3],
-    /// Best-effort packets evicted by the class-aware matrix to admit
-    /// higher classes.
-    pub dropped_evicted: [u64; 3],
     /// Still queued or parked when the horizon fell.
     pub dropped_horizon: [u64; 3],
 }
@@ -114,7 +111,6 @@ impl ClassCounts {
             self.delivered[k] += other.delivered[k];
             self.dropped_blackout[k] += other.dropped_blackout[k];
             self.dropped_overflow[k] += other.dropped_overflow[k];
-            self.dropped_evicted[k] += other.dropped_evicted[k];
             self.dropped_horizon[k] += other.dropped_horizon[k];
         }
     }
@@ -122,10 +118,7 @@ impl ClassCounts {
     /// All drops of class `k`, every reason combined.
     #[must_use]
     pub fn drops(&self, k: usize) -> u64 {
-        self.dropped_blackout[k]
-            + self.dropped_overflow[k]
-            + self.dropped_evicted[k]
-            + self.dropped_horizon[k]
+        self.dropped_blackout[k] + self.dropped_overflow[k] + self.dropped_horizon[k]
     }
 
     /// Conservation violations: one message per class whose equation
@@ -283,7 +276,7 @@ impl Domain {
     }
 
     /// A packet meets its host: delivered directly, parked, or dropped
-    /// per the scheme's admission matrix.
+    /// at the scheme's buffer cap.
     fn arrive(&mut self, cp: CrossPacket) {
         let slot = self.cfg.home_slot(cp.host);
         if !self.state[slot].blackout {
@@ -300,22 +293,8 @@ impl Domain {
             self.park(slot, cp);
             return;
         }
-        // Full. The class-aware matrix sacrifices the oldest parked
-        // best-effort packet to admit real-time / high-priority traffic.
-        if self.cfg.scheme.classifies() && CLASSES[k] != ServiceClass::BestEffort {
-            let be_pos = self.state[slot].buffer.iter().position(|&h| {
-                self.pool
-                    .slot(h)
-                    .is_some_and(|s| s.effective_class() == ServiceClass::BestEffort)
-            });
-            if let Some(pos) = be_pos {
-                let victim = self.state[slot].buffer.remove(pos).expect("position valid");
-                self.pool.remove(victim);
-                self.counts.dropped_evicted[2] += 1;
-                self.park(slot, cp);
-                return;
-            }
-        }
+        // Full. A host's buffer holds only its own single-class flow, so
+        // there is no lower-class packet to evict: the newcomer drops.
         self.counts.dropped_overflow[k] += 1;
     }
 

@@ -9,7 +9,7 @@
 //! shows up here.
 //!
 //! Some locks repeat by design. SafetyNet's metro cap equals the NAR
-//! cap. The class-aware eviction never fires, because each host carries
+//! cap. Metro has no class-aware eviction, because each host carries
 //! one flow of one class, so its buffer never holds a best-effort
 //! packet that a higher class could displace; `Dual` with and without
 //! classification therefore produce the same artifact.

@@ -48,7 +48,7 @@ pub struct PointAudit {
     pub peak_bytes_parked: usize,
     /// Sessions still holding parked packets after quiesce.
     pub wedged_sessions: usize,
-    /// Sheds the ladder audit flagged as out of declared order.
+    /// Sheds the ladder audit flagged as out of ladder order.
     pub shed_order_violations: u64,
 }
 
